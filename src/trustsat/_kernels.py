@@ -1,69 +1,43 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels, vectorised with numpy.
 
-The active backend is resolved once at import time from the TRUSTSAT_BACKEND
-environment variable: ``numpy`` forces the fallback path, ``numba`` requires
-the jitted path (ImportError if numba is missing), and ``auto`` (the default)
-uses numba when it imports. Both variants of every kernel remain importable
-so benchmarks can time them side by side; the ``*_numba`` names are None when
-numba is unavailable.
+Graphs arrive as raw CSR arrays (indptr, indices, per-edge values). Every
+kernel that walks a subset of rows gathers their edges with ``row_edges``,
+which keeps CSR order, so sums accumulate in the same order as a plain
+row-by-row loop.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_VAR = "TRUSTSAT_BACKEND"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_VAR} must be 'auto', 'numba' or 'numpy', got {choice!r}")
-    if choice == "numpy":
-        return "numpy"
-    if not HAVE_NUMBA:
-        if choice == "numba":
-            raise ImportError("TRUSTSAT_BACKEND=numba but numba is not importable")
-        return "numpy"
-    return "numba"
-
-
-BACKEND = _pick_backend()
-
-
-def edge_rows(indptr: np.ndarray) -> np.ndarray:
-    """Row index of every edge in a CSR layout."""
-    n = indptr.shape[0] - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge offsets of the CSR rows ``rows``, in row order then CSR order,
+    with the edge count of each row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    total = int(counts.sum())
+    offs = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(total, dtype=np.int64)
+    return offs, counts
 
 
 # --------------------------------------------------------------------------
 # Fixed-point score propagation: scores[i] <- sum_j w_ij * scores[j] for the
-# rows listed in `update`; every other coordinate is pinned. Synchronous
-# sweeps (the full right-hand side is evaluated before any write), stopping
-# when no updated coordinate moved by more than `tol`. Returns
-# (iterations, last_max_change, converged, monotone_ok); the monotone check
-# is active when monotone_eps >= 0.
+# rows listed in `update` (ascending); every other coordinate is pinned.
+# Synchronous sweeps (the full right-hand side is evaluated before any
+# write), stopping when no updated coordinate moved by more than `tol`.
+# Returns (iterations, last_max_change, converged, monotone_ok); the
+# monotone check is active when monotone_eps >= 0.
 # --------------------------------------------------------------------------
 
 
-def propagate_scores_numpy(indptr, indices, weights, update, scores, tol, max_iters, monotone_eps=-1.0):
+def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, monotone_eps=-1.0):
     n_upd = update.shape[0]
     if n_upd == 0:
         return 0, 0.0, True, True
-    rows = edge_rows(indptr)
-    sel = np.isin(rows, update)
-    sub_idx = indices[sel]
-    sub_w = weights[sel]
-    sub_pos = np.searchsorted(update, rows[sel])
+    offs, counts = row_edges(indptr, update)
+    sub_idx = indices[offs]
+    sub_w = weights[offs]
+    sub_pos = np.repeat(np.arange(n_upd, dtype=np.int64), counts)
     it = 0
     resid = 0.0
     converged = False
@@ -84,30 +58,20 @@ def propagate_scores_numpy(indptr, indices, weights, update, scores, tol, max_it
 
 # --------------------------------------------------------------------------
 # Reachability on the transpose graph: nodes with a directed path (following
-# out-edges) into `sources`. in_indptr/in_indices give, per node, the nodes
-# that trust it.
+# out-edges) into `sources`, by breadth-first frontiers. in_indptr/in_indices
+# give, per node, the nodes that trust it.
 # --------------------------------------------------------------------------
 
 
-def reachable_mask_numpy(in_indptr, in_indices, sources, n):
+def reachable_mask(in_indptr, in_indices, sources, n):
     mask = np.zeros(n, dtype=bool)
-    if sources.shape[0] == 0:
-        return mask
-    mask[sources] = True
     frontier = np.unique(sources)
+    mask[frontier] = True
     while frontier.size:
-        starts = in_indptr[frontier]
-        counts = in_indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        offs = np.repeat(starts, counts) + (
-            np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
+        offs, _ = row_edges(in_indptr, frontier)
         cand = in_indices[offs]
-        new = np.unique(cand[~mask[cand]])
-        mask[new] = True
-        frontier = new
+        frontier = np.unique(cand[~mask[cand]])
+        mask[frontier] = True
     return mask
 
 
@@ -118,7 +82,7 @@ def reachable_mask_numpy(in_indptr, in_indices, sources, n):
 # --------------------------------------------------------------------------
 
 
-def influence_columns_numpy(indptr, indices, weights, free, tol, max_iters):
+def influence_columns(indptr, indices, weights, free, tol, max_iters):
     n = indptr.shape[0] - 1
     n_free = free.shape[0]
     out = np.zeros((n_free, n_free))
@@ -127,7 +91,7 @@ def influence_columns_numpy(indptr, indices, weights, free, tol, max_iters):
         scores = np.zeros(n)
         scores[src] = 1.0
         update = free[free != src]
-        propagate_scores_numpy(indptr, indices, weights, update, scores, tol, max_iters)
+        propagate_scores(indptr, indices, weights, update, scores, tol, max_iters)
         out[c, :] = scores[free]
         out[c, c] = 1.0
     return out
@@ -141,7 +105,7 @@ def influence_columns_numpy(indptr, indices, weights, free, tol, max_iters):
 # --------------------------------------------------------------------------
 
 
-def injection_scan_numpy(delta, s_free, b_free, rating, chunk=256):
+def injection_scan(delta, s_free, b_free, rating, chunk=256):
     n_free = s_free.shape[0]
     cur = int(np.count_nonzero(s_free > b_free))
     best = -1
@@ -156,141 +120,3 @@ def injection_scan_numpy(delta, s_free, b_free, rating, chunk=256):
             best_cnt = int(counts[c])
             best = lo + c
     return best, best_cnt - cur
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def propagate_scores_numba(indptr, indices, weights, update, scores, tol, max_iters, monotone_eps):
-        n_upd = update.shape[0]
-        it = 0
-        resid = 0.0
-        converged = n_upd == 0
-        monotone_ok = True
-        new_vals = np.empty(n_upd, dtype=np.float64)
-        while it < max_iters and not converged:
-            it += 1
-            for u in range(n_upd):
-                i = update[u]
-                acc = 0.0
-                for e in range(indptr[i], indptr[i + 1]):
-                    acc += weights[e] * scores[indices[e]]
-                new_vals[u] = acc
-            resid = 0.0
-            for u in range(n_upd):
-                i = update[u]
-                d = new_vals[u] - scores[i]
-                if monotone_eps >= 0.0 and d < -monotone_eps:
-                    monotone_ok = False
-                ad = d if d >= 0.0 else -d
-                if ad > resid:
-                    resid = ad
-                scores[i] = new_vals[u]
-            if resid <= tol:
-                converged = True
-        return it, resid, converged, monotone_ok
-
-    @njit(cache=True)
-    def reachable_mask_numba(in_indptr, in_indices, sources, n):
-        mask = np.zeros(n, dtype=np.bool_)
-        queue = np.empty(n, dtype=np.int64)
-        tail = 0
-        for k in range(sources.shape[0]):
-            s = sources[k]
-            if not mask[s]:
-                mask[s] = True
-                queue[tail] = s
-                tail += 1
-        head = 0
-        while head < tail:
-            v = queue[head]
-            head += 1
-            for e in range(in_indptr[v], in_indptr[v + 1]):
-                u = in_indices[e]
-                if not mask[u]:
-                    mask[u] = True
-                    queue[tail] = u
-                    tail += 1
-        return mask
-
-    @njit(cache=True)
-    def influence_columns_numba(indptr, indices, weights, free, tol, max_iters):
-        n = indptr.shape[0] - 1
-        n_free = free.shape[0]
-        out = np.zeros((n_free, n_free))
-        scores = np.empty(n)
-        new_vals = np.empty(n_free)
-        for c in range(n_free):
-            src = free[c]
-            for v in range(n):
-                scores[v] = 0.0
-            scores[src] = 1.0
-            it = 0
-            while it < max_iters:
-                it += 1
-                for u in range(n_free):
-                    j = free[u]
-                    if j == src:
-                        continue
-                    acc = 0.0
-                    for e in range(indptr[j], indptr[j + 1]):
-                        acc += weights[e] * scores[indices[e]]
-                    new_vals[u] = acc
-                resid = 0.0
-                for u in range(n_free):
-                    j = free[u]
-                    if j == src:
-                        continue
-                    d = new_vals[u] - scores[j]
-                    ad = d if d >= 0.0 else -d
-                    if ad > resid:
-                        resid = ad
-                    scores[j] = new_vals[u]
-                if resid <= tol:
-                    break
-            for u in range(n_free):
-                out[c, u] = scores[free[u]]
-            out[c, c] = 1.0
-        return out
-
-    @njit(cache=True)
-    def injection_scan_numba(delta, s_free, b_free, rating):
-        n_free = s_free.shape[0]
-        cur = 0
-        for j in range(n_free):
-            if s_free[j] > b_free[j]:
-                cur += 1
-        best = -1
-        best_cnt = -1
-        for c in range(n_free):
-            rise = rating - s_free[c]
-            cnt = 0
-            for j in range(n_free):
-                if j == c:
-                    val = rating
-                else:
-                    val = s_free[j] + rise * delta[c, j]
-                if val > b_free[j]:
-                    cnt += 1
-            if cnt > best_cnt:
-                best_cnt = cnt
-                best = c
-        return best, best_cnt - cur
-
-else:
-    propagate_scores_numba = None
-    reachable_mask_numba = None
-    influence_columns_numba = None
-    injection_scan_numba = None
-
-
-if BACKEND == "numba":
-    propagate_scores = propagate_scores_numba
-    reachable_mask = reachable_mask_numba
-    influence_columns = influence_columns_numba
-    injection_scan = injection_scan_numba
-else:
-    propagate_scores = propagate_scores_numpy
-    reachable_mask = reachable_mask_numpy
-    influence_columns = influence_columns_numpy
-    injection_scan = injection_scan_numpy

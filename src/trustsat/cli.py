@@ -104,9 +104,12 @@ def _load_raters(path) -> dict[int, float]:
             if len(parts) != 2:
                 raise ParseError(f"expected 'node,rating', got {line!r}", lineno)
             try:
-                ratings[int(parts[0])] = float(parts[1])
+                node, rating = int(parts[0]), float(parts[1])
             except ValueError:
                 raise ParseError(f"malformed rater fields {line!r}", lineno) from None
+            if node in ratings:
+                raise ParseError(f"duplicate rating for node {node}", lineno)
+            ratings[node] = rating
     return ratings
 
 

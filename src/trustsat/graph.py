@@ -70,11 +70,12 @@ class ErdosRenyiSpec:
 
 
 class TrustGraph:
-    """Immutable directed graph with trust weights, stored in CSR form twice.
+    """Immutable directed graph with trust weights in CSR form.
 
-    ``out_*`` arrays list, per node, whom it trusts (sorted by neighbor);
-    ``in_*`` arrays are the exact transpose (who trusts it). All arrays are
-    marked read-only after construction.
+    ``out_*`` arrays list, per node, whom it trusts (sorted by neighbor) and
+    with what trust; ``in_indptr``/``in_indices`` give the transpose adjacency
+    (who trusts it, sorted by truster). Trust is stored once, on the
+    out-edges. All arrays are marked read-only after construction.
     """
 
     __slots__ = (
@@ -84,18 +85,16 @@ class TrustGraph:
         "out_trust",
         "in_indptr",
         "in_indices",
-        "in_trust",
     )
 
-    def __init__(self, n_nodes, out_indptr, out_indices, out_trust, in_indptr, in_indices, in_trust):
+    def __init__(self, n_nodes, out_indptr, out_indices, out_trust, in_indptr, in_indices):
         self.n_nodes = int(n_nodes)
         self.out_indptr = out_indptr
         self.out_indices = out_indices
         self.out_trust = out_trust
         self.in_indptr = in_indptr
         self.in_indices = in_indices
-        self.in_trust = in_trust
-        for arr in (out_indptr, out_indices, out_trust, in_indptr, in_indices, in_trust):
+        for arr in (out_indptr, out_indices, out_trust, in_indptr, in_indices):
             arr.flags.writeable = False
 
     @property
@@ -107,6 +106,10 @@ class TrustGraph:
 
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.in_indptr)
+
+    def out_rows(self) -> np.ndarray:
+        """Source node of every out-edge, aligned with ``out_indices``."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.out_degrees())
 
     def out_neighbors(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         s, e = self.out_indptr[node], self.out_indptr[node + 1]
@@ -122,8 +125,7 @@ class TrustGraph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All edges as (src, dst, trust) arrays in CSR order."""
-        src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.out_degrees())
-        return src, self.out_indices.copy(), self.out_trust.copy()
+        return self.out_rows(), self.out_indices.copy(), self.out_trust.copy()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrustGraph):
@@ -177,15 +179,7 @@ def _from_edge_arrays(n_nodes: int, src: np.ndarray, dst: np.ndarray, trust: np.
     in_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_nodes), out=in_indptr[1:])
 
-    return TrustGraph(
-        n_nodes,
-        out_indptr,
-        dst.copy(),
-        trust.copy(),
-        in_indptr,
-        src[t_order],
-        trust[t_order],
-    )
+    return TrustGraph(n_nodes, out_indptr, dst, trust, in_indptr, src[t_order])
 
 
 def build_graph(n_nodes: int, edges: Iterable[tuple[int, int, float]]) -> TrustGraph:

@@ -123,7 +123,7 @@ def compute_weights(g: TrustGraph, state: SessionState) -> np.ndarray:
     """
     n = g.n_nodes
     t = g.out_trust
-    rows = _kernels.edge_rows(g.out_indptr)
+    rows = g.out_rows()
     rater = state.rater_mask(n)
     alpha = state.alpha
 
@@ -146,13 +146,11 @@ def compute_weights(g: TrustGraph, state: SessionState) -> np.ndarray:
 def reachability_mask(g: TrustGraph, raters: Sequence[int]) -> np.ndarray:
     """True for nodes with a directed trust path into the rater set
     (raters included), found by BFS over the transpose graph."""
-    sources = np.asarray(sorted(set(int(r) for r in raters)), dtype=np.int64)
-    return np.asarray(
-        _kernels.reachable_mask(g.in_indptr, g.in_indices, sources, g.n_nodes), dtype=bool
-    )
+    sources = np.asarray(raters, dtype=np.int64)
+    return _kernels.reachable_mask(g.in_indptr, g.in_indices, sources, g.n_nodes)
 
 
-def _initial_scores(g, state, cfg, mask, rater_mask):
+def _initial_scores(g, state, cfg, mask):
     n = g.n_nodes
     warm = cfg.warm_start
     if warm is None:
@@ -196,7 +194,7 @@ def solve_iterative(
     mask = reachability_mask(g, state.raters)
     if weights is None:
         weights = compute_weights(g, state)
-    s = _initial_scores(g, state, cfg, mask, rater)
+    s = _initial_scores(g, state, cfg, mask)
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
 
     eps = 1e-12 if (cfg.check_monotone and cfg.warm_start is None) else -1.0
@@ -240,7 +238,7 @@ def solve_dense_oracle(g: TrustGraph, state: SessionState) -> SatisfactionVector
         return SatisfactionVector(s, 0, 0.0, True)
 
     w = compute_weights(g, state)
-    rows = _kernels.edge_rows(g.out_indptr)
+    rows = g.out_rows()
     pos = np.full(n, -1, dtype=np.int64)
     pos[free] = np.arange(free.size)
 

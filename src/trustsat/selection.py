@@ -75,9 +75,8 @@ def select_trust_greedy(g: TrustGraph, state: SessionState) -> int:
     ties go to the smallest node index."""
     nr = _non_raters(g, state)
     rater = state.rater_mask(g.n_nodes)
-    rows = _kernels.edge_rows(g.in_indptr)
-    contrib = np.where(rater[g.in_indices], 0.0, g.in_trust)
-    in_sums = np.bincount(rows, weights=contrib, minlength=g.n_nodes)
+    contrib = np.where(rater[g.out_rows()], 0.0, g.out_trust)
+    in_sums = np.bincount(g.out_indices, weights=contrib, minlength=g.n_nodes)
     return int(nr[np.argmax(in_sums[nr])])
 
 
@@ -176,7 +175,7 @@ def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] =
         cfg.tolerance,
         cfg.resolved_max_iterations(g.n_nodes),
     )
-    return DeltaMatrix(np.asarray(delta), free, state.raters)
+    return DeltaMatrix(delta, free, state.raters)
 
 
 def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
@@ -211,8 +210,8 @@ def marginal_greedy_fast(
         raise StaleDelta("influence table was built for a different rater set")
     if dm.free_nodes.size == 0:
         raise NoNonRaters("every node is already a rater")
-    s_free = np.ascontiguousarray(s.scores[dm.free_nodes])
-    b_free = np.ascontiguousarray(state.thresholds[dm.free_nodes])
+    s_free = s.scores[dm.free_nodes]
+    b_free = state.thresholds[dm.free_nodes]
     best_pos, _gain = _kernels.injection_scan(dm.delta, s_free, b_free, float(assumed_rating))
     return int(dm.free_nodes[best_pos])
 

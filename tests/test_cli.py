@@ -62,6 +62,18 @@ def test_solve_path_fixture(tmp_path, capsys):
     assert "satisfied_fraction=0.666666666667" in capsys.readouterr().out
 
 
+def test_solve_repeated_rater_is_validation_error(tmp_path, capsys):
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    raters = tmp_path / "raters.csv"
+    raters.write_text("0,0.8\n2,0.5\n0,0.1\n")
+    rc = run_cli("solve", "--graph", str(gpath), "--raters", str(raters),
+                 "--b", "0.3", "-o", str(tmp_path / "s.csv"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "line 3: duplicate rating for node 0" in err
+
+
 def test_solve_zero_rater_fraction(tmp_path, capsys):
     gpath = tmp_path / "g.csv"
     write_path_graph(gpath)
