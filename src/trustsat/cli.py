@@ -165,10 +165,7 @@ def cmd_session(args) -> int:
     with stream if stream is not sys.stdout else contextlib.nullcontext(stream) as f:
         for key, value in _echo(args, b_echo).items():
             f.write(f"# {key} = {value}\n")
-        f.write("round,rater,rating,satisfied,fraction\n")
-        for r in log.rounds:
-            f.write(f"{r.round},{r.rater},{r.rating:.12g},{r.satisfied},{r.fraction:.12g}\n")
-        f.write(f"# status={log.status}\n")
+        log.write_csv(f)
     print(f"status={log.status} raters={log.raters_used()}")
     return 0
 

@@ -17,23 +17,25 @@ Trust updates blend the old value with a rating-agreement term,
 
     t' = gamma * t + (1 - gamma) / (1 + sharpness * |r_i - r_j|),
 
-applied in both directions between a new rater and every existing rater.
-The agreement term is 1 for identical ratings and decays convexly with the
-rating gap; it never quite reaches 0 (only as sharpness grows without
-bound). Missing edges enter with old trust 0, so rating twice alike creates
-trust without any direct interaction. Because only rater-rater edges are
-touched, the current score solution is unaffected.
+in both directions between every pair of raters. The agreement term is 1
+for identical ratings and decays convexly with the rating gap; it never
+quite reaches 0 (only as sharpness grows without bound). Missing edges enter
+with old trust 0, so rating twice alike creates trust without any direct
+interaction. A session runs on its input graph and merges all the updates
+once, when it ends. Re-blending each new rater's pairs as it joins gives the
+same rounds and graph: rater-rater edges never enter a score, and each pair
+is blended once, from its input trust, by a rule symmetric in the ratings.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import TrustGraph, build_graph
+from .graph import TrustGraph, _from_edge_arrays
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
@@ -71,15 +73,12 @@ class TrustUpdateConfig:
             raise ValidationError(f"sharpness must be > 0, got {self.sharpness}")
 
 
-RatingSource = Union[float, np.ndarray]
-
-
 @dataclass
 class EditingConfig:
     strategy: SelectionStrategy
     publish_fraction: float = 1.0  # satisfied fraction required to publish
     max_rounds: Optional[int] = None  # default: one round per node
-    rating_source: RatingSource = 1.0
+    rating_source: Union[float, np.ndarray] = 1.0
     trust_update: Optional[TrustUpdateConfig] = None
     alpha: float = 0.5
 
@@ -91,7 +90,7 @@ class EditingConfig:
         if isinstance(self.rating_source, np.ndarray):
             if self.rating_source.shape != (n_nodes,):
                 raise ValidationError("per-node rating table must cover every node")
-            if self.rating_source.min() < 0 or self.rating_source.max() > 1:
+            if not np.all((self.rating_source >= 0) & (self.rating_source <= 1)):
                 raise ValidationError("ratings must lie in [0, 1]")
         elif not (0.0 <= float(self.rating_source) <= 1.0):
             raise ValidationError(f"rating must lie in [0, 1], got {self.rating_source}")
@@ -124,44 +123,52 @@ class SessionLog:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            f.write("round,rater,rating,satisfied,fraction\n")
-            for r in self.rounds:
-                f.write(f"{r.round},{r.rater},{r.rating:.12g},{r.satisfied},{r.fraction:.12g}\n")
-            f.write(f"# status={self.status}\n")
+            self.write_csv(f)
+
+    def write_csv(self, f) -> None:
+        """The round table and a closing ``# status=`` line, to a text stream."""
+        f.write("round,rater,rating,satisfied,fraction\n")
+        for r in self.rounds:
+            f.write(f"{r.round},{r.rater},{r.rating:.12g},{r.satisfied},{r.fraction:.12g}\n")
+        f.write(f"# status={self.status}\n")
 
 
-def trust_update(t_old: float, r_i: float, r_j: float, cfg: TrustUpdateConfig) -> float:
-    """Blend old trust with the rating-agreement term; symmetric in the
-    two ratings and monotone decreasing in their distance."""
+def trust_update(t_old, r_i, r_j, cfg: TrustUpdateConfig):
+    """Blend old trust with the rating-agreement term, elementwise on arrays;
+    symmetric in the two ratings and monotone decreasing in their distance."""
     for name, v in (("t_old", t_old), ("r_i", r_i), ("r_j", r_j)):
-        if not (0.0 <= v <= 1.0):
+        if not np.all((v >= 0.0) & (v <= 1.0)):
             raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-    return cfg.gamma * t_old + (1.0 - cfg.gamma) / (1.0 + cfg.sharpness * abs(r_i - r_j))
+    return cfg.gamma * t_old + (1.0 - cfg.gamma) / (1.0 + cfg.sharpness * np.abs(r_i - r_j))
 
 
 def apply_rater_trust_updates(
-    g: TrustGraph, state: SessionState, new_rater: int, cfg: TrustUpdateConfig
+    g: TrustGraph, state: SessionState, cfg: TrustUpdateConfig
 ) -> TrustGraph:
-    """New graph with both directed edges between `new_rater` and every
-    other rater re-blended from their recorded ratings. Edges among
-    non-raters are untouched, so current satisfaction weights survive."""
-    if new_rater not in state.ratings:
-        raise ValidationError(f"node {new_rater} has no recorded rating")
-    others = [j for j in state.ratings if j != new_rater]
-    if not others:
+    """New graph with both directed edges between every pair of raters
+    blended from their trust in `g` and their recorded ratings; `g` itself
+    when there are fewer than two raters. Edges that do not join two raters
+    are untouched, so satisfaction scores are unchanged."""
+    if len(state.ratings) < 2:
         return g
-    r_new = state.ratings[new_rater]
+    raters = np.fromiter(state.ratings.keys(), dtype=np.int64)
+    ratings = np.fromiter(state.ratings.values(), dtype=np.float64)
+    pos = np.full(g.n_nodes, -1, dtype=np.int64)
+    pos[raters] = np.arange(raters.size)
     src, dst, trust = g.edge_arrays()
-    edges = {(int(s), int(d)): float(t) for s, d, t in zip(src, dst, trust)}
-    for j in others:
-        r_j = state.ratings[j]
-        for pair in ((new_rater, j), (j, new_rater)):
-            t_new = trust_update(edges.get(pair, 0.0), r_new, r_j, cfg)
-            if t_new > 0.0:
-                edges[pair] = t_new
-            else:  # gamma = 1 with no prior edge: still no edge
-                edges.pop(pair, None)
-    return build_graph(g.n_nodes, [(s, d, t) for (s, d), t in edges.items()])
+    ps, pd = pos[src], pos[dst]
+    pair = (ps >= 0) & (pd >= 0)
+    block = np.zeros((raters.size, raters.size))
+    block[ps[pair], pd[pair]] = trust[pair]
+    block = trust_update(block, ratings[:, None], ratings[None, :], cfg)
+    np.fill_diagonal(block, 0.0)
+    i, j = np.nonzero(block)  # gamma = 1 with no prior edge: still no edge
+    return _from_edge_arrays(
+        g.n_nodes,
+        np.concatenate((src[~pair], raters[i])),
+        np.concatenate((dst[~pair], raters[j])),
+        np.concatenate((trust[~pair], block[i, j])),
+    )
 
 
 def _select(g, state, cfg, solver_cfg, rng, s, dm):
@@ -201,9 +208,8 @@ def run_session(
     dm: Optional[DeltaMatrix] = None
     weights = compute_weights(g, state) if cfg.alpha == 0.5 else None
 
-    graph = g
     log_obj = SessionLog()
-    sv = solve_iterative(graph, state, solver_cfg, weights=weights)
+    sv = solve_iterative(g, state, solver_cfg, weights=weights)
     count, _ = satisfied_count(sv, state.thresholds)
     fraction = count / n
     warned_no_progress = False
@@ -224,8 +230,8 @@ def run_session(
             break
 
         if use_fast and dm is None:
-            dm = delta_init(graph, state, solver_cfg)
-        chosen = _select(graph, state, cfg, solver_cfg, rng, sv, dm)
+            dm = delta_init(g, state, solver_cfg)
+        chosen = _select(g, state, cfg, solver_cfg, rng, sv, dm)
         rating = cfg.rating_for(chosen)
 
         warm = sv.scores
@@ -240,16 +246,7 @@ def run_session(
             dm = delta_promote(dm, chosen)
 
         state.add_rater(chosen, rating)
-        if cfg.trust_update is not None:
-            graph = apply_rater_trust_updates(graph, state, chosen, cfg.trust_update)
-            weights = compute_weights(graph, state) if cfg.alpha == 0.5 else None
-
-        solve_cfg = SolverConfig(
-            tolerance=solver_cfg.tolerance,
-            max_iterations=solver_cfg.max_iterations,
-            warm_start=warm,
-        )
-        sv = solve_iterative(graph, state, solve_cfg, weights=weights)
+        sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm), weights=weights)
         count, _ = satisfied_count(sv, state.thresholds)
         new_fraction = count / n
         if new_fraction <= fraction and not warned_no_progress and new_fraction < cfg.publish_fraction:
@@ -262,5 +259,7 @@ def run_session(
 
     log_obj.final = sv
     log_obj.state = state
-    log_obj.graph = graph
+    log_obj.graph = g
+    if cfg.trust_update is not None:
+        log_obj.graph = apply_rater_trust_updates(g, state, cfg.trust_update)
     return log_obj

@@ -339,6 +339,6 @@ def validate_thresholds(thresholds: Sequence[float], n_nodes: int) -> np.ndarray
     b = np.asarray(thresholds, dtype=np.float64)
     if b.shape != (n_nodes,):
         raise ValidationError(f"thresholds must have length {n_nodes}, got shape {b.shape}")
-    if b.size and (b.min() < 0.0 or b.max() > 1.0):
+    if not np.all((b >= 0.0) & (b <= 1.0)):
         raise ValidationError("thresholds must lie in [0, 1]")
     return b

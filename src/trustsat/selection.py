@@ -182,12 +182,13 @@ def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
     """Influence table after promoting non-rater k, via the closed-form
     update; k's row and column are dropped and the fingerprint grows."""
     c = dm.position(k)
-    col = dm.delta[:, c].copy()  # delta(i, k) over i
-    row = dm.delta[c, :].copy()  # delta(k, j) over j
-    denom = 1.0 - col * row      # per-source round-trip correction
+    col = np.delete(dm.delta[:, c], c)  # delta(i, k) over i != k
+    row = np.delete(dm.delta[c, :], c)  # delta(k, j) over j != k
+    denom = 1.0 - col * row             # per-source round-trip correction
     np.maximum(denom, 1e-300, out=denom)
-    new = (dm.delta - np.outer(col, row)) / denom[:, None]
-    new = np.delete(np.delete(new, c, axis=0), c, axis=1)
+    new = np.delete(np.delete(dm.delta, c, axis=0), c, axis=1)
+    new -= np.outer(col, row)
+    new /= denom[:, None]
     np.clip(new, 0.0, 1.0, out=new)
     np.fill_diagonal(new, 1.0)
     free = np.delete(dm.free_nodes, c)

@@ -346,7 +346,7 @@ def test_c12_trust_update_contract():
             state = random_state(rng, g.n_nodes, k=(0.15, 0.4), min_raters=2)
             before = solve_iterative(g, state).scores
             cfg = TrustUpdateConfig(0.4, 9.0)
-            g2 = apply_rater_trust_updates(g, state, int(state.raters[-1]), cfg)
+            g2 = apply_rater_trust_updates(g, state, cfg)
             after = solve_iterative(g2, state).scores
             assert np.max(np.abs(after - before)) <= 1e-12
 

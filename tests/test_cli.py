@@ -1,10 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustsat.cli import main
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -210,6 +214,8 @@ def test_module_entry_point(tmp_path):
          "--avg-degree", "2", "-o", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from trustsat import (
     EditingConfig,
+    ErdosRenyiSpec,
     SelectionStrategy,
     SessionState,
     SolverConfig,
     TrustUpdateConfig,
+    UniformTrust,
     ValidationError,
     apply_rater_trust_updates,
     build_graph,
+    generate_erdos_renyi,
     run_session,
     solve_iterative,
     trust_update,
@@ -53,13 +58,13 @@ def test_trust_update_range_and_monotonicity():
 def test_apply_updates_no_other_raters():
     g = build_graph(3, [(0, 1, 0.5)])
     state = SessionState({0: 1.0}, np.zeros(3))
-    assert apply_rater_trust_updates(g, state, 0, TrustUpdateConfig()) is g
+    assert apply_rater_trust_updates(g, state, TrustUpdateConfig()) is g
 
 
 def test_apply_updates_creates_edges_both_ways():
     g = build_graph(3, [(2, 0, 0.4)])
     state = SessionState({0: 0.8, 1: 0.8}, np.zeros(3))
-    g2 = apply_rater_trust_updates(g, state, 1, TrustUpdateConfig(gamma=0.5, sharpness=16.0))
+    g2 = apply_rater_trust_updates(g, state, TrustUpdateConfig(gamma=0.5, sharpness=16.0))
     # equal ratings, no prior edges: both directions land at 0.5
     assert g2.edge_trust(0, 1) == pytest.approx(0.5)
     assert g2.edge_trust(1, 0) == pytest.approx(0.5)
@@ -70,9 +75,16 @@ def test_apply_updates_creates_edges_both_ways():
 def test_apply_updates_blends_existing_edge():
     g = build_graph(2, [(0, 1, 0.4), (1, 0, 0.2)])
     state = SessionState({0: 0.9, 1: 0.9}, np.zeros(2))
-    g2 = apply_rater_trust_updates(g, state, 1, TrustUpdateConfig(gamma=0.5, sharpness=16.0))
+    g2 = apply_rater_trust_updates(g, state, TrustUpdateConfig(gamma=0.5, sharpness=16.0))
     assert g2.edge_trust(0, 1) == pytest.approx(0.5 * 0.4 + 0.5)
     assert g2.edge_trust(1, 0) == pytest.approx(0.5 * 0.2 + 0.5)
+
+
+def test_apply_updates_gamma_one_adds_no_edge():
+    g = build_graph(4, [(0, 1, 0.4), (2, 3, 0.7)])
+    state = SessionState({0: 0.1, 2: 0.9, 3: 0.5}, np.zeros(4))
+    g2 = apply_rater_trust_updates(g, state, TrustUpdateConfig(gamma=1.0, sharpness=16.0))
+    assert g2 == g and g2.n_edges == 2
 
 
 def test_rater_rater_updates_leave_solution_alone():
@@ -81,10 +93,102 @@ def test_rater_rater_updates_leave_solution_alone():
         g = random_graph(rng, n_range=(15, 50))
         state = random_state(rng, g.n_nodes, k=(0.15, 0.35), min_raters=2)
         before = solve_iterative(g, state)
-        newest = int(state.raters[-1])
-        g2 = apply_rater_trust_updates(g, state, newest, TrustUpdateConfig(0.3, 7.0))
+        g2 = apply_rater_trust_updates(g, state, TrustUpdateConfig(0.3, 7.0))
         after = solve_iterative(g2, state)
         assert np.max(np.abs(after.scores - before.scores)) <= 1e-12
+
+
+def _per_round_update(g, state, new_rater, cfg):
+    """Reference: re-blend the pairs of `new_rater` with every earlier rater
+    through a dict of all edges, and rebuild the whole graph."""
+    others = [j for j in state.ratings if j != new_rater]
+    if not others:
+        return g
+    r_new = state.ratings[new_rater]
+    src, dst, trust = g.edge_arrays()
+    edges = {(int(s), int(d)): float(t) for s, d, t in zip(src, dst, trust)}
+    for j in others:
+        r_j = state.ratings[j]
+        for pair in ((new_rater, j), (j, new_rater)):
+            t_new = trust_update(edges.get(pair, 0.0), r_new, r_j, cfg)
+            if t_new > 0.0:
+                edges[pair] = t_new
+            else:
+                edges.pop(pair, None)
+    return build_graph(g.n_nodes, [(s, d, t) for (s, d), t in edges.items()])
+
+
+def _check_against_per_round_reference(g, b, cfg, seed):
+    """run_session's graph equals the per-round reference replayed in join
+    order, and its rounds and final scores equal those of the same session
+    without updates."""
+    log = run_session(g, b, cfg, rng=np.random.default_rng(seed))
+    plain_cfg = dataclasses.replace(cfg, trust_update=None)
+    plain = run_session(g, b, plain_cfg, rng=np.random.default_rng(seed))
+    assert log.rounds == plain.rounds and log.status == plain.status
+    assert np.array_equal(log.final.scores, plain.final.scores)
+    assert plain.graph is g
+
+    ref = g
+    replay = SessionState({}, log.state.thresholds, cfg.alpha)
+    for r in log.rounds:
+        replay.add_rater(r.rater, r.rating)
+        ref = _per_round_update(ref, replay, r.rater, cfg.trust_update)
+    assert log.graph == ref
+    assert log.graph.out_trust.tobytes() == ref.out_trust.tobytes()
+    assert np.array_equal(log.graph.in_indptr, ref.in_indptr)
+    assert np.array_equal(log.graph.in_indices, ref.in_indices)
+    return log
+
+
+STRATEGIES = ("random", "trust", "marginal")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("alpha", [0.5, 0.7])
+def test_session_trust_updates_match_per_round_reference(strategy, alpha):
+    rng = np.random.default_rng([STRATEGIES.index(strategy), int(alpha * 10)])
+    for gamma in (0.0, 0.3, 1.0):
+        for per_node in (False, True):
+            n = int(rng.integers(20, 60))
+            g = random_graph(rng, n=n, lam=float(rng.uniform(2.0, 6.0)))
+            ratings = rng.uniform(0.0, 1.0, size=n) if per_node else float(rng.uniform(0.3, 1.0))
+            cfg = EditingConfig(
+                strategy=SelectionStrategy(strategy),
+                rating_source=ratings,
+                trust_update=TrustUpdateConfig(gamma, float(rng.uniform(1.0, 20.0))),
+                alpha=alpha,
+                max_rounds=int(rng.integers(5, 30)),
+            )
+            log = _check_against_per_round_reference(
+                g, rng.uniform(0.05, 0.6, size=n), cfg, int(rng.integers(1000))
+            )
+            assert log.raters_used() >= 2
+
+
+def test_session_trust_updates_match_per_round_reference_n300():
+    g = generate_erdos_renyi(ErdosRenyiSpec(300, 10 / 300, UniformTrust(), 300))
+    cfg = EditingConfig(
+        strategy=SelectionStrategy("trust"),
+        rating_source=np.random.default_rng(300).uniform(0.2, 1.0, size=300),
+        trust_update=TrustUpdateConfig(gamma=0.5, sharpness=16.0),
+        max_rounds=120,
+    )
+    log = _check_against_per_round_reference(g, np.full(300, 0.2), cfg, 0)
+    assert log.raters_used() == 120
+
+
+def test_session_gamma_one_adds_no_edge():
+    # gamma = 1 keeps every rater-pair edge as it was and creates none
+    g = ring_graph(12, t=0.5)
+    cfg = EditingConfig(
+        strategy=SelectionStrategy("random"),
+        max_rounds=6,
+        trust_update=TrustUpdateConfig(gamma=1.0, sharpness=4.0),
+    )
+    log = run_session(g, np.full(12, 0.9), cfg, rng=np.random.default_rng(1))
+    assert log.raters_used() == 6
+    assert log.graph == g
 
 
 def ring_graph(n, t=0.8):
@@ -201,6 +305,13 @@ def test_session_with_trust_updates_runs_and_persists():
         i, j = int(raters[0]), int(raters[1])
         # equal ratings leave every rater pair fully agreeing
         assert log.graph.edge_trust(i, j) is not None
+
+
+def test_rating_table_range():
+    for bad in ([0.5, 1.5], [0.5, np.nan]):
+        cfg = EditingConfig(strategy=SelectionStrategy("random"), rating_source=np.array(bad))
+        with pytest.raises(ValidationError):
+            cfg.validate(2)
 
 
 def test_state_cleared_resets_raters():

@@ -188,6 +188,11 @@ def test_validate_thresholds_range():
         validate_thresholds(np.array([0.5]), 2)
 
 
+def test_validate_thresholds_rejects_nan():
+    with pytest.raises(ValidationError):
+        validate_thresholds([np.nan, 0.2], 2)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         ErdosRenyiSpec(10, 1.5, UniformTrust(), 0)
