@@ -35,6 +35,7 @@ from .errors import (
     NoRoot,
     ParseError,
     SelfLoop,
+    SingularInfluence,
     StaleDelta,
     TooLarge,
     TrustOutOfRange,

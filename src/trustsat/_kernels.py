@@ -76,47 +76,62 @@ def reachable_mask(in_indptr, in_indices, sources, n):
 
 
 # --------------------------------------------------------------------------
-# Influence table: row c holds the limit scores of a unit injection pinned at
-# free[c], with every node outside `free` held at zero and the rows
-# free \ {free[c]} iterated to convergence.
+# In-place inverse by blocked Gauss-Jordan elimination without pivoting.
+# Each step inverts one diagonal block and updates every other row chunk
+# with one matmul; the only temporaries are block-sized. Without pivoting it
+# suits matrices whose diagonal blocks and Schur complements stay invertible,
+# such as the nonsingular M-matrices I - W of the influence table. Raises
+# numpy.linalg.LinAlgError when a diagonal block is exactly singular.
 # --------------------------------------------------------------------------
 
 
-def influence_columns(indptr, indices, weights, free, tol, max_iters):
-    n = indptr.shape[0] - 1
-    n_free = free.shape[0]
-    out = np.zeros((n_free, n_free))
-    for c in range(n_free):
-        src = free[c]
-        scores = np.zeros(n)
-        scores[src] = 1.0
-        update = free[free != src]
-        propagate_scores(indptr, indices, weights, update, scores, tol, max_iters)
-        out[c, :] = scores[free]
-        out[c, c] = 1.0
-    return out
+def invert_in_place(a, block=128):
+    n = a.shape[0]
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        piv = np.linalg.inv(a[k0:k1, k0:k1])
+        top = piv @ a[k0:k1, :]
+        top[:, k0:k1] = piv
+        for r0 in range(0, n, block):
+            if r0 == k0:
+                continue
+            r1 = min(r0 + block, n)
+            f = a[r0:r1, k0:k1].copy()
+            a[r0:r1, k0:k1] = 0.0
+            a[r0:r1, :] -= f @ top
+        a[k0:k1, :] = top
+    return a
 
 
 # --------------------------------------------------------------------------
-# Candidate scan for the greedy fast path: for each free node c, form the
-# hypothetical scores s + (rating - s_c) * influence[c] (with c itself pinned
-# to the rating), count entries above threshold, and return the first
-# candidate position with the largest gain over the current count.
+# Candidate scan for the greedy fast path over the influence buffer m, where
+# free node i sits at row and column free_pos[i]. For each candidate c, form
+# the hypothetical scores s + (rating - s_c) * m[:, c] / m[c, c] (with c
+# itself pinned to the rating), count entries above threshold, and return
+# the first candidate position with the largest gain over the current count.
+# m >= 0, so a candidate at or below the rating lifts every score and only
+# the unsatisfied rows are read for it; one above the rating reads them all.
 # --------------------------------------------------------------------------
 
 
-def injection_scan(delta, s_free, b_free, rating, chunk=256):
-    n_free = s_free.shape[0]
-    cur = int(np.count_nonzero(s_free > b_free))
-    best = -1
-    best_cnt = -1
-    for lo in range(0, n_free, chunk):
-        hi = min(lo + chunk, n_free)
-        block = s_free[None, :] + (rating - s_free[lo:hi])[:, None] * delta[lo:hi, :]
-        block[np.arange(hi - lo), np.arange(lo, hi)] = rating
-        counts = (block > b_free[None, :]).sum(axis=1)
-        c = int(np.argmax(counts))
-        if int(counts[c]) > best_cnt:
-            best_cnt = int(counts[c])
-            best = lo + c
-    return best, best_cnt - cur
+def injection_scan(m, s_free, b_free, rating, free_pos, chunk=64):
+    sat = s_free > b_free
+    cur = int(np.count_nonzero(sat))
+    scale = np.zeros(m.shape[0])  # per buffer column; 0 where no node is free
+    scale[free_pos] = (rating - s_free) / m[free_pos, free_pos]
+    rising = scale[free_pos] >= 0.0
+    counts = np.where(rising, cur, 0)
+    for rows, cand in ((np.flatnonzero(~sat), rising), (np.arange(s_free.shape[0]), ~rising)):
+        if not cand.any():
+            continue
+        hits = np.zeros(m.shape[0], dtype=np.int64)  # columns of other candidates are not read back
+        for lo in range(0, rows.size, chunk):
+            r = rows[lo:lo + chunk]
+            block = m.take(free_pos[r], axis=0)
+            block *= scale
+            block += s_free[r, None]
+            block[np.arange(r.size), free_pos[r]] = rating
+            hits += np.count_nonzero(block > b_free[r, None], axis=0)
+        counts[cand] += hits[free_pos[cand]]
+    best = int(np.argmax(counts))
+    return best, int(counts[best]) - cur

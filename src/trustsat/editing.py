@@ -34,7 +34,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SingularInfluence, ValidationError
 from .graph import TrustGraph, _from_edge_arrays
 from .satisfaction import (
     SatisfactionVector,
@@ -230,7 +230,12 @@ def run_session(
             break
 
         if use_fast and dm is None:
-            dm = delta_init(g, state, solver_cfg)
+            try:
+                dm = delta_init(g, state, solver_cfg)
+            except SingularInfluence as exc:
+                # retried next round, when this round's rater may have
+                # broken the closed class
+                log.debug("round %d: slow path (select_marginal_greedy): %s", round_no + 1, exc)
         chosen = _select(g, state, cfg, solver_cfg, rng, sv, dm)
         rating = cfg.rating_for(chosen)
 

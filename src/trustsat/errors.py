@@ -53,5 +53,11 @@ class InfeasibleTarget(ValidationError):
     pass
 
 
+class SingularInfluence(TrustSatError):
+    """The influence table does not exist: I - W over the non-raters is
+    singular, as when a rater-free class of nodes trusts only itself, all
+    at trust exactly 1."""
+
+
 class NoRoot(TrustSatError):
     """A bracketing root search found no sign change."""

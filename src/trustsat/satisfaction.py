@@ -160,7 +160,7 @@ def _initial_scores(g, state, cfg, mask):
         s = np.array(base, dtype=np.float64, copy=True)
         if s.shape != (n,):
             raise ValidationError(f"warm start must have shape ({n},), got {s.shape}")
-        if s.size and (s.min() < 0.0 or s.max() > 1.0):
+        if not np.all((s >= 0.0) & (s <= 1.0)):
             raise ValidationError("warm start scores must lie in [0, 1]")
         s[~mask] = 0.0
     for node, r in state.ratings.items():

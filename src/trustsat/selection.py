@@ -7,16 +7,22 @@ assumed rating). The greedy has a slow path that re-solves the score system
 per candidate, and, at alpha = 0.5 where the averaging weights do not depend
 on the rater set, a fast path built on a pairwise influence table.
 
-``DeltaMatrix.delta[c, j]`` holds the limit increase of free node j's score
-per unit increase pinned at free node c (holding raters at zero). Promoting
-node k updates every entry in closed form: paths through k stop counting,
-and the source's own normalization loses its round trips through k,
+The table rests on M = (I - W_FF)^-1, the inverse of the averaging weights
+among the free nodes (the non-raters). Pinning free node c at its score plus
+x, with raters held fixed, moves free node j by x * M[j, c] / M[c, c], so
 
-    delta'(i, j) = (delta(i, j) - delta(i, k) * delta(k, j))
-                   / (1 - delta(i, k) * delta(k, i)).
+    DeltaMatrix.delta[c, j] = M[j, c] / M[c, c].
 
-The denominator is the round-trip correction; it equals 1 whenever i and k
-do not influence each other both ways.
+M exists and is nonnegative unless a rater-free class of nodes trusts only
+itself, all at trust exactly 1; ``delta_init`` then raises
+``SingularInfluence``. Promoting free node k to rater takes the Schur
+complement, which is the inverse over the remaining free nodes:
+
+    M'[i, j] = M[i, j] - M[i, k] * M[k, j] / M[k, k],    M[k, k] >= 1.
+
+The table holds M in one buffer over the free nodes it was built for and
+updates it in place; k's row and column become zero, and a mask of buffer
+positions (``DeltaMatrix.pos``) tracks the free nodes left.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import AlphaUnsupported, NoNonRaters, StaleDelta, TooLarge, ValidationError
+from .errors import AlphaUnsupported, NoNonRaters, SingularInfluence, StaleDelta, TooLarge, ValidationError
 from .graph import TrustGraph
 from .satisfaction import (
     SatisfactionVector,
@@ -43,6 +49,9 @@ STRATEGY_KINDS = ("random", "trust", "marginal")
 # Beyond this many non-raters the dense influence table is not worth its
 # memory and the greedy falls back to per-candidate re-solves.
 DELTA_FAST_PATH_CAP = 5000
+
+# Rows per chunk of the in-place promote; bounds its temporaries.
+PROMOTE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -129,13 +138,23 @@ def select_marginal_greedy(
 class DeltaMatrix:
     """Pairwise influence coefficients over the current non-raters.
 
-    ``delta[c, j]``: rise of free node j per unit pinned at free node c.
-    ``raters`` fingerprints the rater set the table was built for.
+    ``m`` holds M over the non-raters the table was built for and is
+    updated in place by ``delta_promote``; ``pos`` gives the buffer position
+    of each current non-rater in ``free_nodes``. ``raters`` fingerprints the
+    rater set the table is valid for.
     """
 
-    delta: np.ndarray
+    m: np.ndarray
+    pos: np.ndarray
     free_nodes: np.ndarray
     raters: np.ndarray
+
+    @property
+    def delta(self) -> np.ndarray:
+        """``delta[c, j]``: rise of free node j per unit pinned at free node
+        c, as a new array over the current non-raters."""
+        sub = self.m.take(self.pos, axis=0).take(self.pos, axis=1)
+        return sub.T / np.diag(sub)[:, None]
 
     def position(self, node: int) -> int:
         pos = int(np.searchsorted(self.free_nodes, node))
@@ -144,7 +163,8 @@ class DeltaMatrix:
         return pos
 
     def row(self, node: int) -> np.ndarray:
-        return self.delta[self.position(node), :]
+        p = self.pos[self.position(node)]
+        return self.m[self.pos, p] / self.m[p, p]
 
     def matches(self, state: SessionState) -> bool:
         return np.array_equal(self.raters, state.raters)
@@ -158,42 +178,58 @@ def _require_half_alpha(state: SessionState) -> None:
 
 
 def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None) -> DeltaMatrix:
-    """Build the influence table by one unit-injection solve per non-rater:
-    pin the source at 1 and all raters at 0, sweep the remaining non-rater
-    rows to convergence, and record the limit."""
+    """Build the influence table: assemble I - W_FF densely over the
+    non-raters and invert it in place. The inverse must pass its
+    certificate M (I - W_FF) 1 = 1 to the solver tolerance; otherwise the
+    table does not exist and SingularInfluence is raised."""
     _require_half_alpha(state)
     state.validate(g.n_nodes)
     cfg = cfg or SolverConfig()
     cfg.validate()
     free = state.non_raters(g.n_nodes)
     weights = compute_weights(g, state)
-    delta = _kernels.influence_columns(
-        g.out_indptr,
-        g.out_indices,
-        weights,
-        free,
-        cfg.tolerance,
-        cfg.resolved_max_iterations(g.n_nodes),
-    )
-    return DeltaMatrix(delta, free, state.raters)
+    at = np.full(g.n_nodes, -1, dtype=np.int64)
+    at[free] = np.arange(free.size)
+    rows = g.out_rows()
+    src, dst = at[rows], at[g.out_indices]
+    inner = (src >= 0) & (dst >= 0)
+    m = np.eye(free.size)
+    m[src[inner], dst[inner]] = -weights[inner]
+    # (I - W_FF) 1 = 1 - sum_F t^2 / sum t, summed without cancellation: it
+    # is exactly 0 on rows whose trust is all 1 and all toward non-raters
+    t = g.out_trust
+    kept = np.bincount(rows, weights=np.where(dst >= 0, t * (1.0 - t), t), minlength=g.n_nodes)
+    total = np.bincount(rows, weights=t, minlength=g.n_nodes)
+    leak = np.divide(kept, total, out=np.ones(g.n_nodes), where=total > 0)[free]
+    try:
+        _kernels.invert_in_place(m)
+    except np.linalg.LinAlgError:
+        raise SingularInfluence("I - W over the non-raters has a singular pivot block") from None
+    resid = float(np.max(np.abs(m @ leak - 1.0), initial=0.0))
+    if not resid <= cfg.tolerance:
+        raise SingularInfluence(
+            f"inverse of I - W over the non-raters fails its certificate (residual {resid:.3g})"
+        )
+    return DeltaMatrix(m, np.arange(free.size), free, state.raters)
 
 
 def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
-    """Influence table after promoting non-rater k, via the closed-form
-    update; k's row and column are dropped and the fingerprint grows."""
+    """Promote non-rater k: take the Schur complement of the table in place,
+    drop k from the free set and add it to the fingerprint. Returns ``dm``,
+    which now describes the promoted rater set."""
     c = dm.position(k)
-    col = np.delete(dm.delta[:, c], c)  # delta(i, k) over i != k
-    row = np.delete(dm.delta[c, :], c)  # delta(k, j) over j != k
-    denom = 1.0 - col * row             # per-source round-trip correction
-    np.maximum(denom, 1e-300, out=denom)
-    new = np.delete(np.delete(dm.delta, c, axis=0), c, axis=1)
-    new -= np.outer(col, row)
-    new /= denom[:, None]
-    np.clip(new, 0.0, 1.0, out=new)
-    np.fill_diagonal(new, 1.0)
-    free = np.delete(dm.free_nodes, c)
-    raters = np.sort(np.append(dm.raters, k))
-    return DeltaMatrix(new, free, raters)
+    p = dm.pos[c]
+    m = dm.m
+    col = m[:, p] / m[p, p]
+    row = m[p, :].copy()
+    for lo in range(0, m.shape[0], PROMOTE_CHUNK):
+        m[lo:lo + PROMOTE_CHUNK] -= col[lo:lo + PROMOTE_CHUNK, None] * row
+    m[p, :] = 0.0
+    m[:, p] = 0.0
+    dm.pos = np.delete(dm.pos, c)
+    dm.free_nodes = np.delete(dm.free_nodes, c)
+    dm.raters = np.sort(np.append(dm.raters, k))
+    return dm
 
 
 def marginal_greedy_fast(
@@ -213,7 +249,7 @@ def marginal_greedy_fast(
         raise NoNonRaters("every node is already a rater")
     s_free = s.scores[dm.free_nodes]
     b_free = state.thresholds[dm.free_nodes]
-    best_pos, _gain = _kernels.injection_scan(dm.delta, s_free, b_free, float(assumed_rating))
+    best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos)
     return int(dm.free_nodes[best_pos])
 
 

@@ -1,12 +1,13 @@
 """The numpy kernels against independent oracles: a plain-Python sweep, a
-breadth-first search, a dense inverse and brute-force counting."""
+breadth-first search, numpy's dense inverse, per-column iterative solves
+and brute-force counting."""
 from collections import deque
 
 import numpy as np
 import pytest
 
 from trustsat import _kernels
-from trustsat import compute_weights
+from trustsat import SolverConfig, compute_weights, delta_init
 from trustsat.satisfaction import reachability_mask
 from helpers import random_graph, random_state
 
@@ -94,6 +95,47 @@ def test_reachable_matches_bfs(seed):
         assert mask.tolist() == _bfs_reachable(g, sources.tolist())
 
 
+def _m_matrix(rng, n):
+    """Random I - W with W >= 0 and row sums of W below 1: a row-diagonally
+    dominant nonsingular M-matrix."""
+    w = rng.uniform(0, 1, (n, n)) * (rng.uniform(0, 1, (n, n)) < 0.3)
+    np.fill_diagonal(w, 0.0)
+    w *= rng.uniform(0.2, 0.99, n)[:, None] / np.maximum(w.sum(axis=1), 1e-300)[:, None]
+    return np.eye(n) - w
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129])
+def test_invert_in_place_matches_numpy_inverse(n):
+    rng = np.random.default_rng(n)
+    a = _m_matrix(rng, n)
+    expect = np.linalg.inv(a)
+    out = _kernels.invert_in_place(a, block=128)
+    assert out is a
+    assert np.max(np.abs(a - expect)) <= 1e-12
+
+
+def test_invert_in_place_singular_block():
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _kernels.invert_in_place(a, block=2)
+
+
+def _influence_columns(g, weights, free, tol, max_iters):
+    """Row c: limit scores of a unit injection pinned at free[c], every node
+    outside ``free`` held at zero and the other free rows swept to
+    convergence."""
+    out = np.zeros((free.size, free.size))
+    for c, src in enumerate(free):
+        scores = np.zeros(g.n_nodes)
+        scores[src] = 1.0
+        _kernels.propagate_scores(
+            g.out_indptr, g.out_indices, weights, free[free != src], scores, tol, max_iters
+        )
+        out[c, :] = scores[free]
+        out[c, c] = 1.0
+    return out
+
+
 @pytest.mark.parametrize("seed", [11, 12])
 def test_influence_matches_dense_inverse(seed):
     rng = np.random.default_rng(seed)
@@ -101,12 +143,10 @@ def test_influence_matches_dense_inverse(seed):
     state = random_state(rng, g.n_nodes, k=(0.1, 0.2))
     w = compute_weights(g, state)
     free = state.non_raters(g.n_nodes)
-    delta = _kernels.influence_columns(g.out_indptr, g.out_indices, w, free, 1e-13, 10000)
-    dense = np.zeros((g.n_nodes, g.n_nodes))
-    dense[g.out_rows(), g.out_indices] = w
-    m = np.linalg.inv(np.eye(free.size) - dense[np.ix_(free, free)])
-    expect = m.T / np.diag(m)[:, None]  # expect[c, j] = M[j, c] / M[c, c]
-    assert np.max(np.abs(delta - expect)) <= 1e-9
+    dm = delta_init(g, state, SolverConfig(tolerance=1e-12))
+    assert dm.free_nodes.tolist() == free.tolist()
+    expect = _influence_columns(g, w, free, 1e-13, 10000)
+    assert np.max(np.abs(dm.delta - expect)) <= 1e-9
 
 
 def _brute_force_scan(delta, s_free, b_free, rating):
@@ -122,13 +162,30 @@ def _brute_force_scan(delta, s_free, b_free, rating):
 
 def test_injection_scan_chunking_and_brute_force():
     rng = np.random.default_rng(13)
-    for _ in range(5):
-        n_free = int(rng.integers(3, 400))
-        delta = rng.uniform(0, 1, (n_free, n_free))
-        np.fill_diagonal(delta, 1.0)
+    for _ in range(6):
+        size = int(rng.integers(3, 400))
+        m = rng.uniform(0, 1, (size, size)) * (rng.uniform(0, 1, (size, size)) < 0.5)
+        m[np.diag_indices(size)] = rng.uniform(1, 2, size)
+        # a few buffer positions are promoted raters: zero rows and columns
+        free_pos = np.sort(rng.choice(size, size=max(1, size - int(rng.integers(0, 5))), replace=False))
+        gone = np.setdiff1d(np.arange(size), free_pos)
+        m[gone, :] = 0.0
+        m[:, gone] = 0.0
+        n_free = free_pos.size
         s_free = rng.uniform(0, 1, n_free)
         b_free = rng.uniform(0, 1, n_free)
-        rating = float(rng.uniform(0.5, 1.0))
-        chunked = _kernels.injection_scan(delta, s_free, b_free, rating, chunk=7)
-        whole = _kernels.injection_scan(delta, s_free, b_free, rating, chunk=n_free)
+        rating = float(rng.uniform(0.3, 1.0))  # candidates on both sides of it
+        sub = m[np.ix_(free_pos, free_pos)]
+        delta = sub.T / np.diag(sub)[:, None]
+        chunked = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=7)
+        whole = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=size)
         assert chunked == whole == _brute_force_scan(delta, s_free, b_free, rating)
+
+
+def test_injection_scan_pins_candidate_at_rating():
+    # 49 * (1 / 49) rounds to just below 1: the candidate's own entry must
+    # be the rating itself, as a re-solve pins it, not the scaled product
+    m = np.diag([49.0, 1.0])
+    s_free = np.zeros(2)
+    b_free = np.array([np.nextafter(1.0, 0.0), 0.5])
+    assert _kernels.injection_scan(m, s_free, b_free, 1.0, np.arange(2)) == (0, 1)

@@ -149,6 +149,13 @@ def test_warm_start_agrees_with_zero_start():
         assert np.max(np.abs(sv.scores - cold.scores)) <= 10 * SolverConfig().tolerance
 
 
+def test_warm_start_rejects_nan():
+    g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    st = SessionState({2: 1.0}, np.zeros(3))
+    with pytest.raises(ValidationError):
+        solve_iterative(g, st, SolverConfig(warm_start=[0.0, np.nan, 0.2]))
+
+
 def test_budget_exhaustion_flagged():
     g = build_graph(3, [(2, 1, 0.5), (1, 0, 0.6)])
     st = SessionState({0: 0.8}, np.zeros(3))

@@ -1,12 +1,16 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
 from trustsat import (
     AlphaUnsupported,
+    EditingConfig,
     NoNonRaters,
+    SelectionStrategy,
     SessionState,
+    SingularInfluence,
     SolverConfig,
     StaleDelta,
     TooLarge,
@@ -15,6 +19,7 @@ from trustsat import (
     delta_promote,
     marginal_greedy_fast,
     marginal_satisfaction,
+    run_session,
     satisfied_count,
     select_marginal_greedy,
     select_optimal_exhaustive,
@@ -143,11 +148,13 @@ def test_delta_promote_chain_kills_paths_through_promoted():
 def test_delta_promote_disjoint_influence_unchanged():
     g = build_graph(4, [(0, 1, 0.8), (2, 3, 0.8)])
     dm = delta_init(g, SessionState({}, np.zeros(4)), TIGHT)
+    before = dm.delta  # delta_promote updates dm in place
+    before_pos = {v: dm.position(v) for v in (0, 1)}
     dm2 = delta_promote(dm, 3)
     for src in (0, 1):
         for dst_ in (0, 1):
             assert dm2.delta[dm2.position(src), dm2.position(dst_)] == pytest.approx(
-                dm.delta[dm.position(src), dm.position(dst_)], abs=1e-12
+                before[before_pos[src], before_pos[dst_]], abs=1e-12
             )
 
 
@@ -196,6 +203,105 @@ def test_fast_path_matches_slow_path_per_step():
             dm = delta_promote(dm, fast)
             state.add_rater(fast, 1.0)
             sv = solve_iterative(g, state, TIGHT)
+
+
+def _step_fast_and_slow(g, state, steps, rating):
+    """Pick ``steps`` raters by re-solve, checking each against the fast
+    pick whenever the influence table exists; a singular table is retried
+    every round, as run_session does. Returns the rounds it was singular."""
+    singular = []
+    dm = None
+    for step in range(steps):
+        slow = select_marginal_greedy(g, state, rating, TIGHT)
+        if dm is None:
+            try:
+                dm = delta_init(g, state, TIGHT)
+            except SingularInfluence:
+                singular.append(step)
+        if dm is not None:
+            sv = solve_iterative(g, state, TIGHT)
+            assert marginal_greedy_fast(g, state, sv, dm, rating) == slow
+            delta_promote(dm, slow)
+        state.add_rater(slow, rating)
+    return singular
+
+
+def test_singular_table_two_cycle():
+    g = build_graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+    with pytest.raises(SingularInfluence):
+        delta_init(g, SessionState({}, np.zeros(2)), TIGHT)
+    assert _step_fast_and_slow(g, SessionState({}, np.zeros(2)), 2, 1.0) == [0]
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_singular_table_trust_one_clique(k):
+    # every pivot block is invertible in floating point here; the
+    # certificate M (I - W) 1 = 1 is what rejects the inverse
+    g = build_graph(k, [(i, j, 1.0) for i in range(k) for j in range(k) if i != j])
+    with pytest.raises(SingularInfluence, match="certificate"):
+        delta_init(g, SessionState({}, np.zeros(k)), TIGHT)
+    assert _step_fast_and_slow(g, SessionState({}, np.full(k, 0.5)), 3, 1.0) == [0]
+
+
+def _closed_three_cycle(seed):
+    """Uniform-trust G(60, 6/60) whose nodes 0 -> 1 -> 2 -> 0 trust only
+    each other, at trust 1: a closed class that makes I - W singular while
+    none of them rates."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n=60, lam=6.0)
+    src, dst, t = g.edge_arrays()
+    keep = src >= 3
+    edges = list(zip(src[keep].tolist(), dst[keep].tolist(), t[keep].tolist()))
+    edges += [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]
+    return build_graph(60, edges), rng.uniform(0.1, 0.9, 60)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_singular_table_closed_three_cycle(seed):
+    g, thresholds = _closed_three_cycle(seed)
+    with pytest.raises(SingularInfluence):
+        delta_init(g, SessionState({}, thresholds), TIGHT)
+    # the first pick breaks the cycle; the table is rebuilt and then promoted
+    assert _step_fast_and_slow(g, SessionState({}, thresholds), 6, 1.0) == [0]
+
+
+def test_session_falls_back_on_singular_table(caplog, monkeypatch):
+    g, thresholds = _closed_three_cycle(0)
+    caplog.set_level(logging.DEBUG, logger="trustsat.editing")
+    slow_rounds = []
+
+    def counted(*args, **kwargs):
+        slow_rounds.append(len(args[1].ratings))
+        return select_marginal_greedy(*args, **kwargs)
+
+    monkeypatch.setattr("trustsat.editing.select_marginal_greedy", counted)
+    log = run_session(g, thresholds, EditingConfig(SelectionStrategy("marginal")), TIGHT)
+    assert log.status == "published"
+    assert slow_rounds == [0]  # only the first pick; the table is rebuilt after it
+    fallbacks = [r.getMessage() for r in caplog.records if "slow path" in r.getMessage()]
+    assert len(fallbacks) == 1 and fallbacks[0].startswith("round 1: slow path (select_marginal_greedy)")
+
+    state = SessionState({}, thresholds)
+    expect = []
+    while satisfied_count(solve_iterative(g, state, TIGHT), thresholds)[0] < g.n_nodes:
+        node = select_marginal_greedy(g, state, 1.0, TIGHT)
+        state.add_rater(node, 1.0)
+        expect.append((node, satisfied_count(solve_iterative(g, state, TIGHT), thresholds)[0]))
+    assert [(r.rater, r.satisfied) for r in log.rounds] == expect
+
+
+def test_fast_path_matches_slow_path_rating_below_scores():
+    rng = np.random.default_rng(229)
+    falling = 0
+    for _ in range(6):
+        g = random_graph(rng, n=60, lam=6.0)
+        thresholds = rng.uniform(0.05, 0.5, g.n_nodes)
+        raters = rng.choice(g.n_nodes, size=4, replace=False)
+        state = SessionState({int(i): 1.0 for i in raters}, thresholds, 0.5)
+        sv = solve_iterative(g, state, TIGHT)
+        falling += int(np.count_nonzero(sv.scores[state.non_raters(g.n_nodes)] > 0.3))
+        assert _step_fast_and_slow(g, state, 5, 0.3) == []
+    assert falling > 0  # candidates above the rating take the full-scan branch
 
 
 def test_exhaustive_empty_budget_and_star():
