@@ -8,10 +8,8 @@ random graphs, how many reviewers a publication target needs.
 
 from .analytics import (
     BoundsResult,
-    CdfTable,
     ModelParams,
     community_thresholds,
-    empirical_satisfaction_cdf,
     expected_satisfaction,
     k_max_for_target,
     k_min_for_target,
@@ -33,6 +31,7 @@ from .errors import (
     NoNonRaters,
     NodeOutOfRange,
     NoRoot,
+    NotConverged,
     ParseError,
     SelfLoop,
     SingularInfluence,
@@ -42,6 +41,7 @@ from .errors import (
     TrustSatError,
     ValidationError,
 )
+from .experiments import CdfTable, empirical_satisfaction_cdf
 from .graph import (
     ConstantTrust,
     ErdosRenyiSpec,

@@ -18,20 +18,15 @@ and a sufficient value (vacuous at 1 when r <= B)
 
 To cover a share of the *whole* community, solve (1 - k(T)) * (1 - T) =
 1 - target for T by bisection and evaluate the matching k. The score
-distribution itself has no tractable closed form; it is estimated here by
-pooled Monte Carlo over generated graphs.
+distribution itself has no tractable closed form; ``experiments`` estimates
+it by pooled Monte Carlo over generated graphs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import InfeasibleTarget, NoRoot, ValidationError
-from .graph import ErdosRenyiSpec, generate_erdos_renyi
-from .satisfaction import SessionState, SolverConfig, solve_iterative
 
 
 @dataclass(frozen=True)
@@ -191,53 +186,3 @@ def community_thresholds(p: ModelParams, target_whole: float) -> BoundsResult:
         t_star_max=t_max,
         k_max_vacuous=not math.isfinite(raw) or raw > 1.0,
     )
-
-
-@dataclass
-class CdfTable:
-    """Empirical distribution of pooled non-rater scores."""
-
-    x: np.ndarray
-    cdf: np.ndarray
-    n_samples: int
-    sample_mean: float
-
-    @property
-    def zero_fraction(self) -> float:
-        """Share of non-raters with score exactly 0: the nodes living in
-        components that contain no rater."""
-        return float(self.cdf[0])
-
-
-def empirical_satisfaction_cdf(
-    spec: ErdosRenyiSpec,
-    p: ModelParams,
-    n_trials: int,
-    cfg: Optional[SolverConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    grid_points: int = 1001,
-) -> CdfTable:
-    """Monte Carlo estimate of the non-rater score distribution: generate
-    graphs from per-trial seeds, pick round(k * n) raters uniformly, solve,
-    and pool the non-rater scores onto a fixed grid."""
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    n = spec.n_nodes
-    n_raters = int(round(p.rater_fraction * n))
-    thresholds = np.full(n, p.threshold)
-    pools = []
-    for _ in range(n_trials):
-        g = generate_erdos_renyi(replace(spec, seed=int(rng.integers(2**63 - 1))))
-        raters = rng.choice(n, size=n_raters, replace=False) if n_raters else np.empty(0, np.int64)
-        state = SessionState({int(i): p.rating for i in raters}, thresholds, alpha=0.5)
-        sv = solve_iterative(g, state, cfg)
-        mask = np.ones(n, dtype=bool)
-        mask[raters.astype(np.int64)] = False
-        pools.append(sv.scores[mask])
-    samples = np.sort(np.concatenate(pools))
-    if samples.size == 0:
-        raise ValidationError("rater_fraction = 1 leaves no non-rater scores to pool")
-    x = np.linspace(0.0, 1.0, grid_points)
-    cdf = np.searchsorted(samples, x, side="right") / samples.size
-    return CdfTable(x=x, cdf=cdf, n_samples=int(samples.size), sample_mean=float(samples.mean()))

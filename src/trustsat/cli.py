@@ -2,37 +2,46 @@
 
 Subcommands: generate, solve, session, sweep-k, sweep-p, compare, bounds,
 cdf. Flags can come from a flat ``key = value`` config file via --config;
-explicit flags win. Exit codes: 0 success, 2 usage, 3 validation, 4 runtime.
+explicit flags win. Every command but generate writes its CSV to -o, or to
+stdout when -o is absent. Exit codes: 0 success, 2 usage, 3 validation,
+4 runtime.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import experiments
-from .analytics import ModelParams, empirical_satisfaction_cdf
+from .analytics import ModelParams
 from .editing import EditingConfig, TrustUpdateConfig, run_session
 from .errors import ParseError, TrustSatError, ValidationError
 from .graph import (
     ConstantTrust,
     ErdosRenyiSpec,
     UniformTrust,
+    _data_lines,
     generate_erdos_renyi,
     load_graph,
     load_thresholds,
     mean_out_degree,
     save_graph,
+    write_csv,
 )
 from .satisfaction import SessionState, SolverConfig, satisfied_count, solve_iterative
 from .selection import SelectionStrategy
 
 
-def _positive_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
+
+
+def _seed_list(text: str) -> list[int]:
+    return [_seed(x) for x in text.split(",") if x.strip()]
 
 
 def _float_list(text: str) -> list[float]:
@@ -67,8 +76,14 @@ def _solver(args) -> SolverConfig:
     return SolverConfig(tolerance=args.tolerance, max_iterations=args.max_iters)
 
 
-def _thresholds(args, n: int, rng: Optional[np.random.Generator] = None):
-    given = sum(x is not None for x in (args.thresholds, args.b, getattr(args, "b_truncnorm", None)))
+def _seed_pool(args) -> list[int]:
+    """--seeds, or else --num-seeds consecutive seeds from --seed."""
+    return args.seeds if args.seeds else [args.seed + i for i in range(args.num_seeds)]
+
+
+def _thresholds(args, n: int):
+    truncnorm = getattr(args, "b_truncnorm", None)
+    given = sum(x is not None for x in (args.thresholds, args.b, truncnorm))
     if given > 1:
         raise ValidationError("give at most one of --thresholds, --b, --b-truncnorm")
     if args.thresholds is not None:
@@ -76,9 +91,9 @@ def _thresholds(args, n: int, rng: Optional[np.random.Generator] = None):
         if b.shape[0] != n:
             raise ValidationError(f"threshold file covers {b.shape[0]} nodes, graph has {n}")
         return b, {"thresholds": args.thresholds}
-    if getattr(args, "b_truncnorm", None) is not None:
-        mean, var = args.b_truncnorm
-        rng = rng if rng is not None else np.random.default_rng(args.seed)
+    if truncnorm is not None:
+        mean, var = truncnorm
+        rng = np.random.default_rng(args.seed)
         b, got_mean, got_var = experiments.truncated_normal_thresholds(n, rng, mean, var)
         return b, {"b_truncnorm": f"mean={mean},var={var}", "b_achieved_mean": f"{got_mean:.6g}", "b_achieved_var": f"{got_var:.6g}"}
     b = args.b if args.b is not None else 0.2
@@ -95,26 +110,18 @@ def _echo(args, extra: Optional[dict] = None) -> dict:
 
 def _load_raters(path) -> dict[int, float]:
     ratings: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 'node,rating', got {line!r}", lineno)
-            try:
-                node, rating = int(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(f"malformed rater fields {line!r}", lineno) from None
-            if node in ratings:
-                raise ParseError(f"duplicate rating for node {node}", lineno)
-            ratings[node] = rating
+    for lineno, line in _data_lines(path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 'node,rating', got {line!r}", lineno)
+        try:
+            node, rating = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"malformed rater fields {line!r}", lineno) from None
+        if node in ratings:
+            raise ParseError(f"duplicate rating for node {node}", lineno)
+        ratings[node] = rating
     return ratings
-
-
-def _out_stream(args):
-    return open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
 
 def cmd_generate(args) -> int:
@@ -133,17 +140,14 @@ def cmd_solve(args) -> int:
     if args.raters is not None:
         ratings = _load_raters(args.raters)
     else:
-        rng = np.random.default_rng(args.seed)
-        n_r = int(round(args.rater_fraction * g.n_nodes))
-        chosen = rng.permutation(g.n_nodes)[:n_r]
+        n_r = experiments.rater_count(args.rater_fraction, g.n_nodes)
+        chosen = np.random.default_rng(args.seed).permutation(g.n_nodes)[:n_r]
         ratings = {int(i): args.rating for i in chosen}
     state = SessionState(ratings, b, args.alpha)
     sv = solve_iterative(g, state, _solver(args))
     count, mask = satisfied_count(sv, b)
     rows = [(i, float(sv.scores[i]), int(mask[i])) for i in range(g.n_nodes)]
-    experiments.write_csv(
-        args.out or "/dev/stdout", ["node", "score", "satisfied"], rows, _echo(args, b_echo)
-    )
+    write_csv(args.out or sys.stdout, ["node", "score", "satisfied"], rows, _echo(args, b_echo))
     print(f"satisfied_fraction={count / g.n_nodes:.12g} iterations={sv.iterations_used} converged={sv.converged}")
     return 0
 
@@ -161,19 +165,23 @@ def cmd_session(args) -> int:
         alpha=args.alpha,
     )
     log = run_session(g, b, cfg, _solver(args), np.random.default_rng(args.seed))
-    stream = _out_stream(args)
-    with stream if stream is not sys.stdout else contextlib.nullcontext(stream) as f:
-        for key, value in _echo(args, b_echo).items():
-            f.write(f"# {key} = {value}\n")
-        log.write_csv(f)
+    log.to_csv(args.out or sys.stdout, _echo(args, b_echo))
     print(f"status={log.status} raters={log.raters_used()}")
     return 0
 
 
+def _write_sweep(args, column: str, rows, b_echo: dict, seeds: list[int]) -> None:
+    write_csv(
+        args.out or sys.stdout,
+        [column, "mean_unsatisfied", "stderr"],
+        [(r.value, r.mean, r.stderr) for r in rows],
+        _echo(args, dict(b_echo, seeds=",".join(map(str, seeds)))),
+    )
+
+
 def cmd_sweep_k(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    b, b_echo = _thresholds(args, args.nodes, rng)
-    seeds = args.seeds if args.seeds else [args.seed + i for i in range(args.num_seeds)]
+    b, b_echo = _thresholds(args, args.nodes)
+    seeds = _seed_pool(args)
     rows = experiments.sweep_rater_fraction(
         args.nodes,
         _edge_prob(args),
@@ -185,19 +193,13 @@ def cmd_sweep_k(args) -> int:
         _solver(args),
         alpha=args.alpha,
     )
-    experiments.write_csv(
-        args.out or "/dev/stdout",
-        ["k", "mean_unsatisfied", "stderr"],
-        [(r.value, r.mean, r.stderr) for r in rows],
-        _echo(args, dict(b_echo, seeds=",".join(map(str, seeds)))),
-    )
+    _write_sweep(args, "k", rows, b_echo, seeds)
     return 0
 
 
 def cmd_sweep_p(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    b, b_echo = _thresholds(args, args.nodes, rng)
-    seeds = args.seeds if args.seeds else [args.seed + i for i in range(args.num_seeds)]
+    b, b_echo = _thresholds(args, args.nodes)
+    seeds = _seed_pool(args)
     rows = experiments.sweep_edge_prob(
         args.nodes,
         args.p_grid,
@@ -209,19 +211,13 @@ def cmd_sweep_p(args) -> int:
         _solver(args),
         alpha=args.alpha,
     )
-    experiments.write_csv(
-        args.out or "/dev/stdout",
-        ["p", "mean_unsatisfied", "stderr"],
-        [(r.value, r.mean, r.stderr) for r in rows],
-        _echo(args, dict(b_echo, seeds=",".join(map(str, seeds)))),
-    )
+    _write_sweep(args, "p", rows, b_echo, seeds)
     return 0
 
 
 def cmd_compare(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    b, b_echo = _thresholds(args, args.nodes, rng)
-    seeds = args.seeds if args.seeds else [args.seed + i for i in range(args.num_seeds)]
+    b, b_echo = _thresholds(args, args.nodes)
+    seeds = _seed_pool(args)
     runs = experiments.compare_strategies(
         args.nodes,
         _edge_prob(args),
@@ -238,8 +234,8 @@ def cmd_compare(args) -> int:
     for run in runs:
         for r in run.log.rounds:
             rows.append((run.strategy, run.seed, r.round, r.satisfied, r.fraction))
-    experiments.write_csv(
-        args.out or "/dev/stdout",
+    write_csv(
+        args.out or sys.stdout,
         ["strategy", "seed", "raters", "satisfied", "fraction"],
         rows,
         _echo(args, dict(b_echo, seeds=",".join(map(str, seeds)))),
@@ -262,7 +258,7 @@ def cmd_bounds(args) -> int:
     if args.empirical:
         if args.nodes is None:
             raise ValidationError("--empirical requires --nodes")
-        seeds = args.seeds if args.seeds else [args.seed + i for i in range(args.num_seeds)]
+        seeds = _seed_pool(args)
 
         def empirical(share: float) -> float:
             return experiments.empirical_k_for_target(
@@ -278,8 +274,8 @@ def cmd_bounds(args) -> int:
 
     rows = experiments.bounds_table(params, args.t_grid, empirical)
     cols = ["T", "k_min", "k_max"] + (["k_hat"] if args.empirical else [])
-    experiments.write_csv(
-        args.out or "/dev/stdout",
+    write_csv(
+        args.out or sys.stdout,
         cols,
         [
             (r.share, r.k_min, r.k_max) + ((r.k_hat,) if args.empirical else ())
@@ -300,11 +296,11 @@ def cmd_cdf(args) -> int:
         threshold=args.b if args.b is not None else 0.2,
     )
     spec = ErdosRenyiSpec(args.nodes, edge_prob, ConstantTrust(args.t), args.seed)
-    table = empirical_satisfaction_cdf(
+    table = experiments.empirical_satisfaction_cdf(
         spec, params, args.trials, _solver(args), np.random.default_rng(args.seed)
     )
-    experiments.write_csv(
-        args.out or "/dev/stdout",
+    write_csv(
+        args.out or sys.stdout,
         ["x", "F"],
         zip(table.x.tolist(), table.cdf.tolist()),
         _echo(args, {"n_samples": table.n_samples, "sample_mean": f"{table.sample_mean:.12g}",
@@ -319,10 +315,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=None)
 
 
-def _add_graph_gen_flags(p: argparse.ArgumentParser) -> None:
+def _add_size_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--p", type=float, default=None, help="edge probability")
     p.add_argument("--avg-degree", type=float, default=None, help="edge probability as D/nodes")
+
+
+def _add_trust_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trust", choices=("uniform", "constant"), default="uniform")
     p.add_argument("--trust-value", type=float, default=0.5, help="constant trust value")
     p.add_argument("--trust-range", type=_pair, default=(0.0, 1.0), help="uniform trust lo,hi")
@@ -336,7 +335,7 @@ def _add_threshold_flags(p: argparse.ArgumentParser, truncnorm: bool = False) ->
 
 
 def _add_seed_pool_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seeds", type=_positive_int_list, default=None, help="comma list of seeds")
+    p.add_argument("--seeds", type=_seed_list, default=None, help="comma list of seeds")
     p.add_argument("--num-seeds", type=int, default=10, help="seed count when --seeds is absent")
 
 
@@ -344,26 +343,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trustsat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a random trust graph as an edge list")
-    _add_graph_gen_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_generate)
+    def command(name, func, help, out_required=False):
+        """A subcommand with the flags every command shares."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("-o", "--out", required=out_required, default=None)
+        p.add_argument("--config", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="satisfaction scores for a given rater set")
+    p = command("generate", cmd_generate, "write a random trust graph as an edge list", out_required=True)
+    _add_size_flags(p)
+    _add_trust_flags(p)
+
+    p = command("solve", cmd_solve, "satisfaction scores for a given rater set")
     p.add_argument("--graph", required=True)
     _add_threshold_flags(p)
     p.add_argument("--raters", default=None, help="file of node,rating lines")
     p.add_argument("--rater-fraction", type=float, default=None)
     p.add_argument("--rating", type=float, default=1.0, help="rating used with --rater-fraction")
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("session", help="run one collaborative review session")
+    p = command("session", cmd_session, "run one collaborative review session")
     p.add_argument("--graph", required=True)
     _add_threshold_flags(p)
     p.add_argument("--strategy", choices=("random", "trust", "marginal"), default="random")
@@ -372,41 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--trust-update", type=_pair, default=None, help="gamma,sharpness")
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_session)
 
-    p = sub.add_parser("sweep-k", help="unsatisfied fraction vs rater fraction")
-    _add_graph_gen_flags(p)
+    p = command("sweep-k", cmd_sweep_k, "unsatisfied fraction vs rater fraction")
+    _add_size_flags(p)
+    _add_trust_flags(p)
     _add_threshold_flags(p, truncnorm=True)
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--k-grid", type=_float_list, default=[0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4])
     _add_seed_pool_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep_k)
 
-    p = sub.add_parser("sweep-p", help="unsatisfied fraction vs edge probability")
+    p = command("sweep-p", cmd_sweep_p, "unsatisfied fraction vs edge probability")
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--p-grid", type=_float_list, required=True)
     p.add_argument("--k", type=float, required=True, help="rater fraction")
-    p.add_argument("--trust", choices=("uniform", "constant"), default="uniform")
-    p.add_argument("--trust-value", type=float, default=0.5)
-    p.add_argument("--trust-range", type=_pair, default=(0.0, 1.0))
+    _add_trust_flags(p)
     _add_threshold_flags(p, truncnorm=True)
     p.add_argument("--rating", type=float, default=1.0)
     _add_seed_pool_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep_p)
 
-    p = sub.add_parser("compare", help="race the selection strategies")
-    _add_graph_gen_flags(p)
+    p = command("compare", cmd_compare, "race the selection strategies")
+    _add_size_flags(p)
+    _add_trust_flags(p)
     _add_threshold_flags(p, truncnorm=True)
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--strategies", type=lambda s: s.split(","), default=["random", "trust", "marginal"])
@@ -414,12 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     _add_seed_pool_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("bounds", help="necessary/sufficient rater fractions per target share")
+    p = command("bounds", cmd_bounds, "necessary/sufficient rater fractions per target share")
     p.add_argument("--mean-degree", type=float, required=True)
     p.add_argument("--t", type=float, required=True, help="common trust")
     p.add_argument("--rating", type=float, default=1.0)
@@ -429,40 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=None)
     _add_seed_pool_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("cdf", help="empirical score distribution of non-raters")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--avg-degree", type=float, default=None)
+    p = command("cdf", cmd_cdf, "empirical score distribution of non-raters")
+    _add_size_flags(p)
     p.add_argument("--t", type=float, default=0.5, help="common trust")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--trials", type=int, default=10)
     _add_solver_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", default=None)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_cdf)
 
     return parser
 
 
 def _load_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in _data_lines(path):
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", lineno)
+        key, _, value = line.partition("=")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -489,8 +460,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
                 raise ValidationError(f"unknown config key {key!r} for command {probe.command!r}")
             if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
                 defaults[key] = raw.lower() in ("1", "true", "yes")
-            else:
+                continue
+            try:
                 defaults[key] = action.type(raw) if action.type else raw
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValidationError(f"config key {key!r}: {exc}") from None
         sub.set_defaults(**defaults)
 
 

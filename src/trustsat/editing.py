@@ -35,7 +35,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import SingularInfluence, ValidationError
-from .graph import TrustGraph, _from_edge_arrays
+from .graph import TrustGraph, _from_edge_arrays, write_csv
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
@@ -121,16 +121,17 @@ class SessionLog:
     def raters_used(self) -> int:
         return len(self.rounds)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            self.write_csv(f)
-
-    def write_csv(self, f) -> None:
-        """The round table and a closing ``# status=`` line, to a text stream."""
-        f.write("round,rater,rating,satisfied,fraction\n")
-        for r in self.rounds:
-            f.write(f"{r.round},{r.rater},{r.rating:.12g},{r.satisfied},{r.fraction:.12g}\n")
-        f.write(f"# status={self.status}\n")
+    def to_csv(self, dest, header=None) -> None:
+        """The round table under an optional ``# key = value`` header and
+        above a closing ``# status=`` line; ``dest`` is a path or an open
+        text stream."""
+        write_csv(
+            dest,
+            ["round", "rater", "rating", "satisfied", "fraction"],
+            [(r.round, r.rater, r.rating, r.satisfied, r.fraction) for r in self.rounds],
+            header,
+            [f"status={self.status}"],
+        )
 
 
 def trust_update(t_old, r_i, r_j, cfg: TrustUpdateConfig):

@@ -61,3 +61,8 @@ class SingularInfluence(TrustSatError):
 
 class NoRoot(TrustSatError):
     """A bracketing root search found no sign change."""
+
+
+class NotConverged(TrustSatError):
+    """An iterative solve ran out of iterations before meeting its
+    tolerance, so its scores are not the fixed point."""

@@ -1,4 +1,5 @@
-"""Batch experiments: parameter sweeps, strategy races, and bound checks.
+"""Batch experiments: parameter sweeps, strategy races, bound checks, and
+the Monte Carlo score distribution.
 
 These back the CLI and reproduce the reference simulation protocol at desk
 scale: directed G(n, D/n) graphs, per-edge uniform or constant trust,
@@ -8,6 +9,9 @@ Within one seed, rater sets for different fractions k are nested prefixes of
 a single random permutation. Raising k then only ever adds raters rating at
 least as high as any current score, so per-seed unsatisfied curves are
 monotone by construction rather than only in expectation.
+
+Every solve here raises NotConverged when it runs out of iterations, so an
+unconverged score vector never enters a mean, a bisection or a CDF.
 """
 from __future__ import annotations
 
@@ -19,9 +23,9 @@ import numpy as np
 
 from .analytics import ModelParams, k_max_for_target, k_min_for_target
 from .editing import EditingConfig, SessionLog, run_session
-from .errors import ValidationError
-from .graph import ErdosRenyiSpec, TrustDist, generate_erdos_renyi
-from .satisfaction import SessionState, SolverConfig, satisfied_count, solve_iterative
+from .errors import NotConverged, ValidationError
+from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
+from .satisfaction import SatisfactionVector, SessionState, SolverConfig, satisfied_count, solve_iterative
 from .selection import SelectionStrategy
 
 
@@ -38,11 +42,45 @@ def _check_seeds(seeds: Sequence[int]) -> List[int]:
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValidationError("seeds must be nonempty")
+    if min(seeds) < 0:
+        raise ValidationError(f"seeds must be non-negative, got {min(seeds)}")
     return seeds
+
+
+def rater_count(fraction: float, n_nodes: int) -> int:
+    """Number of raters, round(fraction * n_nodes), for a rater fraction in
+    [0, 1]."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValidationError(f"rater fraction must lie in [0, 1], got {fraction}")
+    return int(round(fraction * n_nodes))
+
+
+def _threshold_vector(thresholds: np.ndarray | float, n_nodes: int) -> np.ndarray:
+    if np.isscalar(thresholds):
+        return np.full(n_nodes, float(thresholds))
+    return thresholds
 
 
 def _spawn(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _draw_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float, trust_dist: TrustDist) -> TrustGraph:
+    """G(n, p) generated from the next seed drawn from ``rng``."""
+    return generate_erdos_renyi(
+        ErdosRenyiSpec(n_nodes, edge_prob, trust_dist, int(rng.integers(2**63 - 1)))
+    )
+
+
+def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: np.ndarray,
+                  cfg: Optional[SolverConfig], alpha: float = 0.5) -> SatisfactionVector:
+    """Scores when every node of ``raters`` rates ``rating``. Raises
+    NotConverged when the solve runs out of iterations."""
+    sv = solve_iterative(g, SessionState({int(i): rating for i in raters}, thresholds, alpha), cfg)
+    if not sv.converged:
+        raise NotConverged(f"solve with {len(raters)} raters on {g.n_nodes} nodes stopped after "
+                           f"{sv.iterations_used} iterations at residual {sv.max_residual:.3g}")
+    return sv
 
 
 @dataclass
@@ -72,22 +110,17 @@ def sweep_rater_fraction(
     """Unsatisfied fraction (over all users) vs rater fraction, one graph
     per seed reused across the grid with nested rater prefixes."""
     k_grid = _check_grid(k_grid, "k")
+    counts = [rater_count(k, n_nodes) for k in k_grid]
     seeds = _check_seeds(seeds)
-    if np.isscalar(thresholds):
-        thresholds = np.full(n_nodes, float(thresholds))
+    thresholds = _threshold_vector(thresholds, n_nodes)
     results = np.empty((len(seeds), k_grid.size))
     for si, seed in enumerate(seeds):
         graph_rng, perm_rng = _spawn(seed, 2)
-        g = generate_erdos_renyi(
-            ErdosRenyiSpec(n_nodes, edge_prob, trust_dist, int(graph_rng.integers(2**63 - 1)))
-        )
+        g = _draw_graph(graph_rng, n_nodes, edge_prob, trust_dist)
         perm = perm_rng.permutation(n_nodes)
-        for ki, k in enumerate(k_grid):
-            raters = perm[: int(round(k * n_nodes))]
-            state = SessionState({int(i): rating for i in raters}, thresholds, alpha)
-            sv = solve_iterative(g, state, cfg)
-            count, _ = satisfied_count(sv, thresholds)
-            results[si, ki] = 1.0 - count / n_nodes
+        for ki, n_r in enumerate(counts):
+            sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg, alpha)
+            results[si, ki] = 1.0 - satisfied_count(sv, thresholds)[0] / n_nodes
     return [
         SweepRow(float(k), *_mean_stderr(results[:, ki])) for ki, k in enumerate(k_grid)
     ]
@@ -106,22 +139,17 @@ def sweep_edge_prob(
 ) -> List[SweepRow]:
     """Unsatisfied fraction vs edge probability at a fixed rater fraction."""
     p_grid = _check_grid(p_grid, "p")
+    n_r = rater_count(rater_fraction, n_nodes)
     seeds = _check_seeds(seeds)
-    if np.isscalar(thresholds):
-        thresholds = np.full(n_nodes, float(thresholds))
+    thresholds = _threshold_vector(thresholds, n_nodes)
     results = np.empty((len(seeds), p_grid.size))
     for si, seed in enumerate(seeds):
         graph_rng, perm_rng = _spawn(seed, 2)
-        perm = perm_rng.permutation(n_nodes)
-        raters = perm[: int(round(rater_fraction * n_nodes))]
+        raters = perm_rng.permutation(n_nodes)[:n_r]
         for pi, p in enumerate(p_grid):
-            g = generate_erdos_renyi(
-                ErdosRenyiSpec(n_nodes, float(p), trust_dist, int(graph_rng.integers(2**63 - 1)))
-            )
-            state = SessionState({int(i): rating for i in raters}, thresholds, alpha)
-            sv = solve_iterative(g, state, cfg)
-            count, _ = satisfied_count(sv, thresholds)
-            results[si, pi] = 1.0 - count / n_nodes
+            g = _draw_graph(graph_rng, n_nodes, float(p), trust_dist)
+            sv = _solve_raters(g, raters, rating, thresholds, cfg, alpha)
+            results[si, pi] = 1.0 - satisfied_count(sv, thresholds)[0] / n_nodes
     return [
         SweepRow(float(p), *_mean_stderr(results[:, pi])) for pi, p in enumerate(p_grid)
     ]
@@ -148,19 +176,11 @@ def compare_strategies(
 ) -> List[StrategyRun]:
     """Run full sessions for each strategy on identical per-seed graphs."""
     seeds = _check_seeds(seeds)
-    if np.isscalar(thresholds):
-        thresholds = np.full(n_nodes, float(thresholds))
+    thresholds = _threshold_vector(thresholds, n_nodes)
     runs: List[StrategyRun] = []
     for seed in seeds:
         graph_rng, session_rng_base = np.random.SeedSequence(seed).spawn(2)
-        g = generate_erdos_renyi(
-            ErdosRenyiSpec(
-                n_nodes,
-                edge_prob,
-                trust_dist,
-                int(np.random.default_rng(graph_rng).integers(2**63 - 1)),
-            )
-        )
+        g = _draw_graph(np.random.default_rng(graph_rng), n_nodes, edge_prob, trust_dist)
         for name in strategies:
             econf = EditingConfig(
                 strategy=SelectionStrategy(name, assumed_rating=rating),
@@ -199,25 +219,19 @@ def empirical_k_for_target(
     are fixed per seed, so probes at different k are nested and the probed
     share is monotone in k seed by seed."""
     seeds = _check_seeds(seeds)
-    thresholds = np.full(n_nodes, threshold)
+    thresholds = _threshold_vector(threshold, n_nodes)
     graphs = []
     perms = []
     for seed in seeds:
         graph_rng, perm_rng = _spawn(seed, 2)
-        graphs.append(
-            generate_erdos_renyi(
-                ErdosRenyiSpec(n_nodes, edge_prob, trust_dist, int(graph_rng.integers(2**63 - 1)))
-            )
-        )
+        graphs.append(_draw_graph(graph_rng, n_nodes, edge_prob, trust_dist))
         perms.append(perm_rng.permutation(n_nodes))
 
     def share_at(k: float) -> float:
+        n_r = rater_count(k, n_nodes)
         shares = []
         for g, perm in zip(graphs, perms):
-            n_r = int(round(k * n_nodes))
-            raters = perm[:n_r]
-            state = SessionState({int(i): rating for i in raters}, thresholds, 0.5)
-            sv = solve_iterative(g, state, cfg)
+            sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg)
             non_raters = perm[n_r:]
             sat = np.count_nonzero(sv.scores[non_raters] > thresholds[non_raters])
             shares.append(sat / max(non_raters.size, 1))
@@ -310,17 +324,48 @@ def truncated_normal_thresholds(
     return out, float(out.mean()), float(out.var())
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], header: Dict[str, object]) -> None:
-    """CSV with a comment block echoing the resolved configuration."""
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in header.items():
-            f.write(f"# {key} = {value}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+@dataclass
+class CdfTable:
+    """Empirical distribution of pooled non-rater scores."""
+
+    x: np.ndarray
+    cdf: np.ndarray
+    n_samples: int
+    sample_mean: float
+
+    @property
+    def zero_fraction(self) -> float:
+        """Share of non-raters with score exactly 0: the nodes living in
+        components that contain no rater."""
+        return float(self.cdf[0])
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+def empirical_satisfaction_cdf(
+    spec: ErdosRenyiSpec,
+    p: ModelParams,
+    n_trials: int,
+    cfg: Optional[SolverConfig] = None,
+    rng: Optional[np.random.Generator] = None,
+    grid_points: int = 1001,
+) -> CdfTable:
+    """Monte Carlo estimate of the non-rater score distribution: generate
+    graphs from per-trial seeds, pick round(k * n) raters uniformly, solve,
+    and pool the non-rater scores onto a fixed grid."""
+    if n_trials < 1:
+        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    rng = rng if rng is not None else np.random.default_rng(spec.seed)
+    n = spec.n_nodes
+    n_raters = rater_count(p.rater_fraction, n)
+    thresholds = _threshold_vector(p.threshold, n)
+    pools = []
+    for _ in range(n_trials):
+        g = _draw_graph(rng, n, spec.edge_prob, spec.trust_dist)
+        raters = rng.choice(n, size=n_raters, replace=False) if n_raters else np.empty(0, np.int64)
+        sv = _solve_raters(g, raters, p.rating, thresholds, cfg)
+        pools.append(np.delete(sv.scores, raters))
+    samples = np.sort(np.concatenate(pools))
+    if samples.size == 0:
+        raise ValidationError("rater_fraction = 1 leaves no non-rater scores to pool")
+    x = np.linspace(0.0, 1.0, grid_points)
+    cdf = np.searchsorted(samples, x, side="right") / samples.size
+    return CdfTable(x=x, cdf=cdf, n_samples=int(samples.size), sample_mean=float(samples.mean()))

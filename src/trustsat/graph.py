@@ -5,10 +5,12 @@ trust t in user j's judgement, with t in (0, 1]; a missing edge means i has
 no knowledge of j. Zero-trust edges are rejected at construction: storing
 them would change the averaging denominators downstream, and a trust of zero
 is indistinguishable from no edge. Graphs are immutable once built and safe
-to share across threads.
+to share across threads. The module also holds the package's file formats:
+edge lists, thresholds, and the ``#``-headed CSV tables the CLI writes.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -254,6 +256,24 @@ def save_graph(g: TrustGraph, path) -> None:
         f.write(f"nodes,{g.n_nodes}\n")
         for s, d, t in zip(src, dst, trust):
             f.write(f"{s},{d},{float(t)!r}\n")
+
+
+def write_csv(dest, columns: Sequence[str], rows: Iterable[Sequence], header=None, closing=()) -> None:
+    """A CSV table under a ``# key = value`` comment block echoing ``header``,
+    followed by one ``# line`` comment per entry of ``closing``. ``dest`` is
+    a path, or an open text stream that is left open. Floats are written at
+    12 significant digits."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as f:
+            write_csv(f, columns, rows, header, closing)
+        return
+    for key, value in (header or {}).items():
+        dest.write(f"# {key} = {value}\n")
+    dest.write(",".join(columns) + "\n")
+    for row in rows:
+        dest.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    for line in closing:
+        dest.write(f"# {line}\n")
 
 
 def _data_lines(path):

@@ -95,6 +95,17 @@ def test_solve_alpha_out_of_range(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5"])
+def test_solve_rater_fraction_out_of_range(tmp_path, capsys, fraction):
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    rc = run_cli("solve", "--graph", str(gpath), "--rater-fraction", fraction,
+                 "-o", str(tmp_path / "s.csv"))
+    assert rc == 3
+    assert "rater fraction must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_solve_missing_graph_file(tmp_path):
     rc = run_cli("solve", "--graph", str(tmp_path / "nope.csv"), "--rater-fraction", "0.5")
     assert rc == 4
@@ -126,6 +137,36 @@ def test_sweep_k_csv(tmp_path):
     first = data[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     assert any(line.startswith("# nodes = 150") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--seed", "-1"), ("--seeds", "-3"), ("--seeds", "1,-3"), ("--seed", "x")],
+    ids=["seed", "seeds", "seeds-mixed", "seed-text"],
+)
+def test_negative_seed_is_usage_error(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep-k", "--nodes", "50", "--avg-degree", "4", *flags,
+                "-o", str(tmp_path / "s.csv"))
+    assert exc.value.code == 2
+
+
+def test_config_negative_seed_is_validation_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed = -2\n")
+    rc = run_cli("sweep-k", "--nodes", "50", "--avg-degree", "4", "--config", str(cfgfile),
+                 "-o", str(tmp_path / "s.csv"))
+    assert rc == 3
+    assert "config key 'seed'" in capsys.readouterr().err
+
+
+def test_sweep_k_unconverged_is_runtime_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = run_cli("sweep-k", "--nodes", "150", "--avg-degree", "8", "--k-grid", "0.1",
+                 "--num-seeds", "2", "--max-iters", "1", "-o", str(out))
+    assert rc == 4
+    assert "stopped after 1 iterations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_p_csv(tmp_path):
@@ -207,15 +248,50 @@ def test_config_file_unknown_key(tmp_path):
     assert rc == 3
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "g.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "trustsat.cli", "generate", "--nodes", "20",
-         "--avg-degree", "2", "-o", str(out)],
-        capture_output=True,
+def run_module(*argv, stdout=subprocess.PIPE):
+    return subprocess.run(
+        [sys.executable, "-m", "trustsat.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))),
     )
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "g.csv"
+    proc = run_module("generate", "--nodes", "20", "--avg-degree", "2", "-o", str(out))
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_output_to_redirected_stdout(tmp_path):
+    # without -o the CSV goes to stdout; with stdout a regular file, the
+    # summary lines must follow the CSV rather than overwrite its head
+    gpath = tmp_path / "g.csv"
+    assert run_cli("generate", "--nodes", "40", "--avg-degree", "4", "-o", str(gpath)) == 0
+    cases = {
+        "solve": (("solve", "--graph", str(gpath), "--rater-fraction", "0.1", "--b", "0.2"),
+                  "node,score,satisfied", 40, 1),
+        "compare": (("compare", "--nodes", "30", "--avg-degree", "4", "--num-seeds", "1"),
+                    "strategy,seed,raters,satisfied,fraction", None, 3),
+    }
+    for name, (argv, columns, n_rows, n_summary) in cases.items():
+        path = tmp_path / f"{name}.txt"
+        with open(path, "w", encoding="utf-8") as f:
+            proc = run_module(*argv, stdout=f)
+        assert proc.returncode == 0, proc.stderr
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# alpha = 0.5"
+        head = lines.index(columns)
+        assert all(line.startswith("# ") for line in lines[:head])
+        rows, summary = lines[head + 1:-n_summary], lines[-n_summary:]
+        if n_rows is not None:
+            assert [int(r.split(",")[0]) for r in rows] == list(range(n_rows))
+        else:
+            assert len(rows) > 0 and all(r.count(",") == 4 for r in rows)
+        if name == "solve":
+            assert summary[0].startswith("satisfied_fraction=")
+        else:
+            assert [s.split(":")[0] for s in summary] == ["random", "trust", "marginal"]

@@ -1,18 +1,28 @@
+import io
+
 import numpy as np
 import pytest
 
-from trustsat import ConstantTrust, UniformTrust, ValidationError
+from trustsat import (
+    ConstantTrust,
+    ErdosRenyiSpec,
+    NotConverged,
+    SolverConfig,
+    UniformTrust,
+    ValidationError,
+)
 from trustsat.experiments import (
     bounds_table,
     compare_strategies,
     empirical_k_for_target,
+    empirical_satisfaction_cdf,
     median_raters_to_publish,
     sweep_edge_prob,
     sweep_rater_fraction,
     truncated_normal_thresholds,
-    write_csv,
 )
 from trustsat.analytics import ModelParams
+from trustsat.graph import write_csv
 
 
 def test_sweep_k_monotone_and_endpoints():
@@ -45,6 +55,13 @@ def test_sweep_k_grid_validation():
         sweep_rater_fraction(50, 0.1, UniformTrust(), 0.2, 1.0, [0.2, 0.1], seeds=[1])
     with pytest.raises(ValidationError):
         sweep_rater_fraction(50, 0.1, UniformTrust(), 0.2, 1.0, [0.1], seeds=[])
+    with pytest.raises(ValidationError, match="non-negative"):
+        sweep_rater_fraction(50, 0.1, UniformTrust(), 0.2, 1.0, [0.1], seeds=[0, -1])
+    # a negative k would slice raters from the end of the permutation, and
+    # k > 1 would make every node a rater
+    for grid in ([-0.1, 0.05, 1.5], [-0.1, 0.05], [0.05, 1.5]):
+        with pytest.raises(ValidationError, match=r"rater fraction must lie in \[0, 1\]"):
+            sweep_rater_fraction(50, 0.1, UniformTrust(), 0.2, 1.0, grid, seeds=[1])
 
 
 def test_sweep_p_dip_then_rise_at_low_rater_fraction():
@@ -61,6 +78,26 @@ def test_sweep_p_flat_near_zero_at_ample_rater_fraction():
     grid = [25 / n, 50 / n, 100 / n]
     rows = sweep_edge_prob(n, grid, UniformTrust(), 0.2, 1.0, 0.2, seeds=range(6))
     assert all(r.mean < 0.1 for r in rows)
+
+
+@pytest.mark.parametrize("k", [-0.2, 1.2])
+def test_sweep_p_rejects_rater_fraction_outside_unit_interval(k):
+    with pytest.raises(ValidationError, match=r"rater fraction must lie in \[0, 1\]"):
+        sweep_edge_prob(100, [0.05], UniformTrust(), 0.2, 1.0, k, seeds=[0])
+
+
+def test_unconverged_solve_fails_loud():
+    one_sweep = SolverConfig(max_iterations=1)
+    with pytest.raises(NotConverged):
+        sweep_rater_fraction(200, 8 / 200, UniformTrust(), 0.2, 1.0, [0.1], [0], one_sweep)
+    with pytest.raises(NotConverged):
+        sweep_edge_prob(200, [8 / 200], UniformTrust(), 0.2, 1.0, 0.1, [0], one_sweep)
+    with pytest.raises(NotConverged):
+        empirical_k_for_target(200, 8 / 200, ConstantTrust(0.8), 0.2, 1.0, 0.5, [0], one_sweep)
+    spec = ErdosRenyiSpec(200, 8 / 200, ConstantTrust(0.5), 3)
+    p = ModelParams(mean_degree=8.0, trust=0.5, rating=1.0, rater_fraction=0.2, threshold=0.2)
+    with pytest.raises(NotConverged):
+        empirical_satisfaction_cdf(spec, p, 2, one_sweep)
 
 
 def test_compare_strategies_orders_medians():
@@ -110,9 +147,14 @@ def test_truncated_normal_threshold_moments():
 
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a", "b"], [(1, 0.5), (2, 0.25)], {"n": 2, "note": "x"})
+    write_csv(path, ["a", "b"], [(1, 0.5), (2, 0.25)], {"n": 2, "note": "x"}, ["status=done"])
     text = path.read_text().splitlines()
     assert text[0] == "# n = 2"
     assert text[1] == "# note = x"
     assert text[2] == "a,b"
     assert text[3] == "1,0.5"
+    assert text[5] == "# status=done"
+    # a stream gets the same bytes and is left open
+    stream = io.StringIO()
+    write_csv(stream, ["a", "b"], [(1, 0.5), (2, 0.25)], {"n": 2, "note": "x"}, ["status=done"])
+    assert stream.getvalue() == path.read_text()

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustsat import (
     AlphaUnsupported,
@@ -131,8 +132,9 @@ def test_delta_init_chain():
 
 def test_delta_init_requires_half_alpha():
     g = build_graph(2, [(0, 1, 0.5)])
-    with pytest.raises(AlphaUnsupported):
-        delta_init(g, SessionState({}, np.zeros(2), alpha=0.7))
+    for alpha in (0.7, 1.0):
+        with pytest.raises(AlphaUnsupported):
+            delta_init(g, SessionState({}, np.zeros(2), alpha=alpha))
 
 
 def test_delta_promote_chain_kills_paths_through_promoted():
@@ -224,6 +226,26 @@ def _step_fast_and_slow(g, state, steps, rating):
             delta_promote(dm, slow)
         state.add_rater(slow, rating)
     return singular
+
+
+@st.composite
+def trust_one_graphs(draw):
+    """Graphs on 1 to 8 nodes with every edge at trust exactly 1 (as
+    ConstantTrust(1.0) generates them), and thresholds in [0, 1)."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    thresholds = draw(st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n))
+    return build_graph(n, [(i, j, 1.0) for i, j in edges]), np.array(thresholds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trust_one_graphs())
+def test_fast_path_matches_slow_path_trust_one(inst):
+    # from no raters until every node rates; closed classes at trust 1 make
+    # the table singular until a pick breaks them
+    g, thresholds = inst
+    _step_fast_and_slow(g, SessionState({}, thresholds), g.n_nodes, 1.0)
 
 
 def test_singular_table_two_cycle():
