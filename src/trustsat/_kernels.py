@@ -25,15 +25,14 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 # rows listed in `update` (ascending); every other coordinate is pinned.
 # Synchronous sweeps (the full right-hand side is evaluated before any
 # write), stopping when no updated coordinate moved by more than `tol`.
-# Returns (iterations, last_max_change, converged, monotone_ok); the
-# monotone check is active when monotone_eps >= 0.
+# Returns (iterations, last_max_change, converged).
 # --------------------------------------------------------------------------
 
 
-def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, monotone_eps=-1.0):
+def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters):
     n_upd = update.shape[0]
     if n_upd == 0:
-        return 0, 0.0, True, True
+        return 0, 0.0, True
     offs, counts = row_edges(indptr, update)
     sub_idx = indices[offs]
     sub_w = weights[offs]
@@ -41,19 +40,16 @@ def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, m
     it = 0
     resid = 0.0
     converged = False
-    monotone_ok = True
     while it < max_iters:
         it += 1
         new = np.bincount(sub_pos, weights=sub_w * scores[sub_idx], minlength=n_upd)
         old = scores[update]
-        if monotone_eps >= 0.0 and np.any(new < old - monotone_eps):
-            monotone_ok = False
         resid = float(np.max(np.abs(new - old)))
         scores[update] = new
         if resid <= tol:
             converged = True
             break
-    return it, resid, converged, monotone_ok
+    return it, resid, converged
 
 
 # --------------------------------------------------------------------------

@@ -310,7 +310,6 @@ def cmd_cdf(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--max-iters", type=int, default=None)
 
@@ -362,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raters", default=None, help="file of node,rating lines")
     p.add_argument("--rater-fraction", type=float, default=None)
     p.add_argument("--rating", type=float, default=1.0, help="rating used with --rater-fraction")
+    p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     _add_solver_flags(p)
 
     p = command("session", cmd_session, "run one collaborative review session")
@@ -372,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--trust-update", type=_pair, default=None, help="gamma,sharpness")
+    p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     _add_solver_flags(p)
 
     p = command("sweep-k", cmd_sweep_k, "unsatisfied fraction vs rater fraction")
@@ -381,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rating", type=float, default=1.0)
     p.add_argument("--k-grid", type=_float_list, default=[0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4])
     _add_seed_pool_flags(p)
+    p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     _add_solver_flags(p)
 
     p = command("sweep-p", cmd_sweep_p, "unsatisfied fraction vs edge probability")
@@ -391,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_flags(p, truncnorm=True)
     p.add_argument("--rating", type=float, default=1.0)
     _add_seed_pool_flags(p)
+    p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     _add_solver_flags(p)
 
     p = command("compare", cmd_compare, "race the selection strategies")
@@ -440,8 +443,6 @@ def _load_config_file(path) -> dict[str, str]:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Pre-parse --config and install its values as subparser defaults so
     explicit flags still win."""
-    if "--config" not in argv:
-        return
     probe, _ = parser.parse_known_args(argv)
     if not getattr(probe, "config", None):
         return

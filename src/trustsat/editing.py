@@ -34,13 +34,14 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import SingularInfluence, ValidationError
+from .errors import SingularInfluence, TooLarge, ValidationError
 from .graph import TrustGraph, _from_edge_arrays, write_csv
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
     SolverConfig,
     compute_weights,
+    require_converged,
     satisfied_count,
     solve_iterative,
 )
@@ -87,6 +88,10 @@ class EditingConfig:
             raise ValidationError(
                 f"publish_fraction must lie in (0, 1], got {self.publish_fraction}"
             )
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValidationError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.strategy.kind == "marginal" and n_nodes > DELTA_FAST_PATH_CAP:
+            raise TooLarge(f"marginal sessions are limited to {DELTA_FAST_PATH_CAP} nodes, got {n_nodes}")
         if isinstance(self.rating_source, np.ndarray):
             if self.rating_source.shape != (n_nodes,):
                 raise ValidationError("per-node rating table must cover every node")
@@ -191,7 +196,8 @@ def run_session(
     rng: Optional[np.random.Generator] = None,
 ) -> SessionLog:
     """Run one review session to publication, deadlock, or budget
-    exhaustion. Deterministic for a given rng seed."""
+    exhaustion. Deterministic for a given rng seed. Raises NotConverged
+    when the initial or a round's solve runs out of iterations."""
     cfg.validate(g.n_nodes)
     solver_cfg = solver_cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -201,16 +207,13 @@ def run_session(
     state = SessionState({}, np.asarray(thresholds, dtype=np.float64), cfg.alpha)
     state.validate(n)
 
-    use_fast = (
-        cfg.strategy.kind == "marginal"
-        and cfg.alpha == 0.5
-        and n <= DELTA_FAST_PATH_CAP
-    )
+    use_fast = cfg.strategy.kind == "marginal" and cfg.alpha == 0.5
     dm: Optional[DeltaMatrix] = None
     weights = compute_weights(g, state) if cfg.alpha == 0.5 else None
 
     log_obj = SessionLog()
     sv = solve_iterative(g, state, solver_cfg, weights=weights)
+    require_converged(sv, "initial session solve")
     count, _ = satisfied_count(sv, state.thresholds)
     fraction = count / n
     warned_no_progress = False
@@ -253,6 +256,7 @@ def run_session(
 
         state.add_rater(chosen, rating)
         sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm), weights=weights)
+        require_converged(sv, f"session round {round_no + 1} solve")
         count, _ = satisfied_count(sv, state.thresholds)
         new_fraction = count / n
         if new_fraction <= fraction and not warned_no_progress and new_fraction < cfg.publish_fraction:

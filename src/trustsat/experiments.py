@@ -23,9 +23,10 @@ import numpy as np
 
 from .analytics import ModelParams, k_max_for_target, k_min_for_target
 from .editing import EditingConfig, SessionLog, run_session
-from .errors import NotConverged, ValidationError
+from .errors import ValidationError
 from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
-from .satisfaction import SatisfactionVector, SessionState, SolverConfig, satisfied_count, solve_iterative
+from .satisfaction import (SatisfactionVector, SessionState, SolverConfig, require_converged, satisfied_count,
+                           solve_iterative)
 from .selection import SelectionStrategy
 
 
@@ -77,10 +78,7 @@ def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: 
     """Scores when every node of ``raters`` rates ``rating``. Raises
     NotConverged when the solve runs out of iterations."""
     sv = solve_iterative(g, SessionState({int(i): rating for i in raters}, thresholds, alpha), cfg)
-    if not sv.converged:
-        raise NotConverged(f"solve with {len(raters)} raters on {g.n_nodes} nodes stopped after "
-                           f"{sv.iterations_used} iterations at residual {sv.max_residual:.3g}")
-    return sv
+    return require_converged(sv, f"solve with {len(raters)} raters on {g.n_nodes} nodes")
 
 
 @dataclass

@@ -106,9 +106,6 @@ class TrustGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
-
     def out_rows(self) -> np.ndarray:
         """Source node of every out-edge, aligned with ``out_indices``."""
         return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.out_degrees())

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .errors import TooLarge, ValidationError
+from .errors import NotConverged, TooLarge, ValidationError
 from .graph import TrustGraph, validate_thresholds
 
 DEFAULT_TOLERANCE = 1e-10
@@ -89,8 +89,7 @@ class SessionState:
 class SolverConfig:
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: Optional[int] = None  # default 10 * n_nodes, floor 1000
-    warm_start: Optional[Union[np.ndarray, "SatisfactionVector"]] = None
-    check_monotone: bool = False  # assert nondecreasing sweeps from a zero start
+    warm_start: Optional[np.ndarray] = None
 
     def validate(self) -> None:
         if not self.tolerance > 0:
@@ -152,12 +151,10 @@ def reachability_mask(g: TrustGraph, raters: Sequence[int]) -> np.ndarray:
 
 def _initial_scores(g, state, cfg, mask):
     n = g.n_nodes
-    warm = cfg.warm_start
-    if warm is None:
+    if cfg.warm_start is None:
         s = np.zeros(n)
     else:
-        base = warm.scores if isinstance(warm, SatisfactionVector) else warm
-        s = np.array(base, dtype=np.float64, copy=True)
+        s = np.array(cfg.warm_start, dtype=np.float64, copy=True)
         if s.shape != (n,):
             raise ValidationError(f"warm start must have shape ({n},), got {s.shape}")
         if not np.all((s >= 0.0) & (s <= 1.0)):
@@ -197,8 +194,7 @@ def solve_iterative(
     s = _initial_scores(g, state, cfg, mask)
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
 
-    eps = 1e-12 if (cfg.check_monotone and cfg.warm_start is None) else -1.0
-    iters, resid, converged, monotone_ok = _kernels.propagate_scores(
+    iters, resid, converged = _kernels.propagate_scores(
         g.out_indptr,
         g.out_indices,
         weights,
@@ -206,11 +202,15 @@ def solve_iterative(
         s,
         cfg.tolerance,
         cfg.resolved_max_iterations(n),
-        eps,
     )
-    if not monotone_ok:
-        raise AssertionError("zero-start sweeps decreased a coordinate")
     return SatisfactionVector(s, int(iters), float(resid), bool(converged))
+
+
+def require_converged(sv: SatisfactionVector, what: str) -> SatisfactionVector:
+    """``sv``, or NotConverged when the solve ``what`` ran out of iterations."""
+    if not sv.converged:
+        raise NotConverged(f"{what} stopped after {sv.iterations_used} iterations at residual {sv.max_residual:.3g}")
+    return sv
 
 
 DENSE_ORACLE_LIMIT = 2000

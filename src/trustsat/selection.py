@@ -46,8 +46,8 @@ from .satisfaction import (
 
 STRATEGY_KINDS = ("random", "trust", "marginal")
 
-# Beyond this many non-raters the dense influence table is not worth its
-# memory and the greedy falls back to per-candidate re-solves.
+# Node limit of marginal sessions: the influence table holds n^2 floats, and
+# the re-solve greedy costs n_free + 1 full solves per round in its place.
 DELTA_FAST_PATH_CAP = 5000
 
 # Rows per chunk of the in-place promote; bounds its temporaries.

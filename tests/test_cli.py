@@ -169,6 +169,46 @@ def test_sweep_k_unconverged_is_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["session", "compare"])
+def test_session_unconverged_is_runtime_error(tmp_path, capsys, command):
+    gpath = tmp_path / "g.csv"
+    assert run_cli("generate", "--nodes", "100", "--avg-degree", "8", "-o", str(gpath)) == 0
+    argv = {"session": ("session", "--graph", str(gpath), "--strategy", "trust"),
+            "compare": ("compare", "--nodes", "100", "--avg-degree", "8", "--num-seeds", "1")}[command]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--max-iters", "1", "-o", str(out)) == 4
+    assert "stopped after 1 iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_session_negative_round_budget_is_validation_error(tmp_path, capsys):
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    assert run_cli("session", "--graph", str(gpath), "--max-rounds", "-3") == 3
+    assert "max_rounds must be >= 0" in capsys.readouterr().err
+
+
+def test_marginal_session_over_cap_is_validation_error(tmp_path, capsys, monkeypatch):
+    import trustsat.editing
+
+    monkeypatch.setattr(trustsat.editing, "DELTA_FAST_PATH_CAP", 2)
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    assert run_cli("session", "--graph", str(gpath), "--strategy", "marginal") == 3
+    assert "limited to 2 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "--nodes", "30", "--avg-degree", "4", "--num-seeds", "1"),
+    ("cdf", "--nodes", "30", "--avg-degree", "4", "--k", "0.2"),
+    ("bounds", "--mean-degree", "10", "--t", "0.8", "--empirical", "--nodes", "30"),
+], ids=["compare", "cdf", "bounds"])
+def test_alpha_is_usage_error_where_fixed(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--alpha", "0.9")
+    assert exc.value.code == 2
+
+
 def test_sweep_p_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run_cli("sweep-p", "--nodes", "120", "--p-grid", "0.01,0.05", "--k", "0.2",
@@ -240,6 +280,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert out_b.read_text().splitlines()[0] == "nodes,40"
 
 
+def test_config_equals_form_reads_the_file(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("avg_degree = 4\n")
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("generate", "--nodes", "30", "--config", str(cfgfile), "-o", str(out_a)) == 0
+    assert run_cli("generate", "--nodes", "30", f"--config={cfgfile}", "-o", str(out_b)) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
 def test_config_file_unknown_key(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("bogus = 1\n")
@@ -273,17 +322,17 @@ def test_output_to_redirected_stdout(tmp_path):
     assert run_cli("generate", "--nodes", "40", "--avg-degree", "4", "-o", str(gpath)) == 0
     cases = {
         "solve": (("solve", "--graph", str(gpath), "--rater-fraction", "0.1", "--b", "0.2"),
-                  "node,score,satisfied", 40, 1),
+                  "# alpha = 0.5", "node,score,satisfied", 40, 1),
         "compare": (("compare", "--nodes", "30", "--avg-degree", "4", "--num-seeds", "1"),
-                    "strategy,seed,raters,satisfied,fraction", None, 3),
+                    "# avg_degree = 4.0", "strategy,seed,raters,satisfied,fraction", None, 3),
     }
-    for name, (argv, columns, n_rows, n_summary) in cases.items():
+    for name, (argv, first, columns, n_rows, n_summary) in cases.items():
         path = tmp_path / f"{name}.txt"
         with open(path, "w", encoding="utf-8") as f:
             proc = run_module(*argv, stdout=f)
         assert proc.returncode == 0, proc.stderr
         lines = path.read_text().splitlines()
-        assert lines[0] == "# alpha = 0.5"
+        assert lines[0] == first
         head = lines.index(columns)
         assert all(line.startswith("# ") for line in lines[:head])
         rows, summary = lines[head + 1:-n_summary], lines[-n_summary:]

@@ -6,9 +6,11 @@ import pytest
 from trustsat import (
     EditingConfig,
     ErdosRenyiSpec,
+    NotConverged,
     SelectionStrategy,
     SessionState,
     SolverConfig,
+    TooLarge,
     TrustUpdateConfig,
     UniformTrust,
     ValidationError,
@@ -16,6 +18,8 @@ from trustsat import (
     build_graph,
     generate_erdos_renyi,
     run_session,
+    satisfied_count,
+    select_marginal_greedy,
     solve_iterative,
     trust_update,
 )
@@ -276,19 +280,41 @@ def test_session_deterministic():
 def test_session_marginal_fast_and_slow_agree():
     g = random_graph(np.random.default_rng(19), n=35, lam=4.0)
     b = np.full(35, 0.25)
-    cfg_fast = EditingConfig(strategy=SelectionStrategy("marginal"))
-    fast = run_session(g, b, cfg_fast, SolverConfig(tolerance=1e-12))
-    # force the slow path by dropping the cap
+    solver = SolverConfig(tolerance=1e-12)
+    fast = run_session(g, b, EditingConfig(strategy=SelectionStrategy("marginal")), solver)
+    # step the same session by hand with the re-solve greedy
+    state = SessionState({}, b)
+    slow = []
+    for _ in fast.rounds:
+        node = select_marginal_greedy(g, state, 1.0, solver)
+        state.add_rater(node, 1.0)
+        slow.append((node, satisfied_count(solve_iterative(g, state, solver), b)[0]))
+    assert [(r.rater, r.satisfied) for r in fast.rounds] == slow
+    assert fast.status == "published" and slow[-1][1] == 35
+
+
+def test_marginal_session_over_cap_raises_before_round_one(monkeypatch):
     import trustsat.editing as editing_mod
 
-    old_cap = editing_mod.DELTA_FAST_PATH_CAP
-    editing_mod.DELTA_FAST_PATH_CAP = 0
-    try:
-        slow = run_session(g, b, cfg_fast, SolverConfig(tolerance=1e-12))
-    finally:
-        editing_mod.DELTA_FAST_PATH_CAP = old_cap
-    assert [r.rater for r in fast.rounds] == [r.rater for r in slow.rounds]
-    assert fast.status == slow.status
+    g = random_graph(np.random.default_rng(19), n=35, lam=4.0)
+    b = np.full(35, 0.25)
+    monkeypatch.setattr(editing_mod, "DELTA_FAST_PATH_CAP", 34)
+    assert run_session(g, b, EditingConfig(strategy=SelectionStrategy("trust"))).status == "published"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the size check")
+
+    monkeypatch.setattr(editing_mod, "solve_iterative", no_solve)
+    for alpha in (0.5, 0.75):
+        with pytest.raises(TooLarge):
+            run_session(g, b, EditingConfig(strategy=SelectionStrategy("marginal"), alpha=alpha))
+
+
+def test_session_unconverged_solve_raises():
+    g = random_graph(np.random.default_rng(23), n=30, lam=4.0)
+    cfg = EditingConfig(strategy=SelectionStrategy("trust"))
+    with pytest.raises(NotConverged, match="session round 1 solve"):
+        run_session(g, np.full(30, 0.2), cfg, SolverConfig(max_iterations=1))
 
 
 def test_session_with_trust_updates_runs_and_persists():
