@@ -68,8 +68,14 @@ def _edge_prob(args) -> float:
     if args.p is not None:
         return args.p
     if args.avg_degree is not None:
-        return args.avg_degree / args.nodes
+        return args.avg_degree / _nodes(args)
     raise ValidationError("one of --p or --avg-degree is required")
+
+
+def _nodes(args) -> int:
+    if args.nodes < 1:
+        raise ValidationError(f"--nodes must be >= 1, got {args.nodes}")
+    return args.nodes
 
 
 def _solver(args) -> SolverConfig:
@@ -263,7 +269,7 @@ def cmd_bounds(args) -> int:
         def empirical(share: float) -> float:
             return experiments.empirical_k_for_target(
                 args.nodes,
-                args.mean_degree / args.nodes,
+                args.mean_degree / _nodes(args),
                 ConstantTrust(args.t),
                 params.threshold,
                 args.rating,
@@ -442,31 +448,30 @@ def _load_config_file(path) -> dict[str, str]:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Pre-parse --config and install its values as subparser defaults so
-    explicit flags still win."""
-    probe, _ = parser.parse_known_args(argv)
-    if not getattr(probe, "config", None):
+    explicit flags still win. The probe knows only --config, so it demands
+    no required flag, and a required flag the file supplies stops being one."""
+    probe = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    probe.add_argument("--config", default=None)
+    config = probe.parse_known_args(argv[1:])[0].config
+    command = argv[0] if argv else None
+    sub = parser._subparsers._group_actions[0].choices.get(command)  # noqa: SLF001
+    if not config or sub is None:
         return
-    values = _load_config_file(probe.config)
-    actions = {}
-    for sub_action in parser._subparsers._group_actions:  # noqa: SLF001
-        sub = sub_action.choices.get(probe.command)
-        if sub is None:
+    actions = {action.dest: action for action in sub._actions}  # noqa: SLF001
+    defaults = {}
+    for key, raw in _load_config_file(config).items():
+        action = actions.get(key)
+        if action is None:
+            raise ValidationError(f"unknown config key {key!r} for command {command!r}")
+        action.required = False
+        if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
+            defaults[key] = raw.lower() in ("1", "true", "yes")
             continue
-        for action in sub._actions:  # noqa: SLF001
-            actions[action.dest] = action
-        defaults = {}
-        for key, raw in values.items():
-            action = actions.get(key)
-            if action is None:
-                raise ValidationError(f"unknown config key {key!r} for command {probe.command!r}")
-            if isinstance(action, argparse._StoreTrueAction):  # noqa: SLF001
-                defaults[key] = raw.lower() in ("1", "true", "yes")
-                continue
-            try:
-                defaults[key] = action.type(raw) if action.type else raw
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValidationError(f"config key {key!r}: {exc}") from None
-        sub.set_defaults(**defaults)
+        try:
+            defaults[key] = action.type(raw) if action.type else raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from None
+    sub.set_defaults(**defaults)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

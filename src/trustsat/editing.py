@@ -40,7 +40,6 @@ from .satisfaction import (
     SatisfactionVector,
     SessionState,
     SolverConfig,
-    compute_weights,
     require_converged,
     satisfied_count,
     solve_iterative,
@@ -209,10 +208,9 @@ def run_session(
 
     use_fast = cfg.strategy.kind == "marginal" and cfg.alpha == 0.5
     dm: Optional[DeltaMatrix] = None
-    weights = compute_weights(g, state) if cfg.alpha == 0.5 else None
 
     log_obj = SessionLog()
-    sv = solve_iterative(g, state, solver_cfg, weights=weights)
+    sv = solve_iterative(g, state, solver_cfg)
     require_converged(sv, "initial session solve")
     count, _ = satisfied_count(sv, state.thresholds)
     fraction = count / n
@@ -255,7 +253,7 @@ def run_session(
             dm = delta_promote(dm, chosen)
 
         state.add_rater(chosen, rating)
-        sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm), weights=weights)
+        sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm))
         require_converged(sv, f"session round {round_no + 1} solve")
         count, _ = satisfied_count(sv, state.thresholds)
         new_fraction = count / n

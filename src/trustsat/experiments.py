@@ -288,6 +288,10 @@ def _truncated_mean(mu: float, sigma: float) -> float:
     a = (0.0 - mu) / sigma
     b = (1.0 - mu) / sigma
     z = _norm_cdf(b) - _norm_cdf(a)
+    if z == 0.0:
+        # [0, 1] lies so far in one tail that the normalizer underflows; the
+        # truncated mean tends to the nearer end of the interval
+        return 0.0 if mu < 0.0 else 1.0
     return mu + sigma * (_norm_pdf(a) - _norm_pdf(b)) / z
 
 
@@ -302,6 +306,8 @@ def truncated_normal_thresholds(
     Returns (thresholds, achieved_mean, achieved_variance)."""
     if not (0.0 < target_mean < 1.0):
         raise ValidationError(f"target_mean must lie in (0, 1), got {target_mean}")
+    if not variance > 0.0:
+        raise ValidationError(f"variance must be > 0, got {variance}")
     sigma = math.sqrt(variance)
     lo, hi = -4.0, 4.0
     for _ in range(200):

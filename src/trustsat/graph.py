@@ -77,7 +77,10 @@ class TrustGraph:
     ``out_*`` arrays list, per node, whom it trusts (sorted by neighbor) and
     with what trust; ``in_indptr``/``in_indices`` give the transpose adjacency
     (who trusts it, sorted by truster). Trust is stored once, on the
-    out-edges. All arrays are marked read-only after construction.
+    out-edges. ``half_weights`` holds the averaging weights at alpha = 0.5,
+    t_ij^2 / sum_j t_ij along each out-row: at that rater weight they do not
+    depend on the rater set, so every solve on the graph shares them. All
+    arrays are marked read-only after construction.
     """
 
     __slots__ = (
@@ -85,18 +88,20 @@ class TrustGraph:
         "out_indptr",
         "out_indices",
         "out_trust",
+        "half_weights",
         "in_indptr",
         "in_indices",
     )
 
-    def __init__(self, n_nodes, out_indptr, out_indices, out_trust, in_indptr, in_indices):
+    def __init__(self, n_nodes, out_indptr, out_indices, out_trust, half_weights, in_indptr, in_indices):
         self.n_nodes = int(n_nodes)
         self.out_indptr = out_indptr
         self.out_indices = out_indices
         self.out_trust = out_trust
+        self.half_weights = half_weights
         self.in_indptr = in_indptr
         self.in_indices = in_indices
-        for arr in (out_indptr, out_indices, out_trust, in_indptr, in_indices):
+        for arr in (out_indptr, out_indices, out_trust, half_weights, in_indptr, in_indices):
             arr.flags.writeable = False
 
     @property
@@ -163,22 +168,25 @@ def _from_edge_arrays(n_nodes: int, src: np.ndarray, dst: np.ndarray, trust: np.
                 f"trust {trust[i]} on edge ({src[i]}, {dst[i]}) must lie in (0, 1]"
             )
 
-    order = np.lexsort((dst, src))
+    # (src, dst) order by one stable sort of a combined key; linear time on
+    # the already sorted edges the generator and saved edge lists provide
+    order = np.argsort(src * n_nodes + dst, kind="stable")
     src, dst, trust = src[order], dst[order], trust[order]
-    if src.size > 1:
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if dup.any():
-            i = np.flatnonzero(dup)[0]
-            raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
+    del order  # freed before the transpose, which sets the build's peak memory
+    dup = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+    if dup.size:
+        raise DuplicateEdge(f"duplicate edge ({src[dup[0]]}, {dst[dup[0]]})")
 
     out_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=out_indptr[1:])
+    half_weights = trust * trust
+    half_weights /= np.bincount(src, weights=trust, minlength=n_nodes)[src]
 
-    t_order = np.lexsort((src, dst))
     in_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_nodes), out=in_indptr[1:])
-
-    return TrustGraph(n_nodes, out_indptr, dst, trust, in_indptr, src[t_order])
+    # src ascends, so a stable sort by dst alone gives (dst, src) order
+    in_indices = src[np.argsort(dst, kind="stable")]
+    return TrustGraph(n_nodes, out_indptr, dst, trust, half_weights, in_indptr, in_indices)
 
 
 def build_graph(n_nodes: int, edges: Iterable[tuple[int, int, float]]) -> TrustGraph:
@@ -235,11 +243,11 @@ def generate_erdos_renyi(spec: ErdosRenyiSpec) -> TrustGraph:
     for a given seed."""
     n = spec.n_nodes
     rng = np.random.default_rng(spec.seed)
-    idx = _sample_pair_indices(rng, n * (n - 1), spec.edge_prob)
-    src = idx // (n - 1) if n > 1 else idx
-    off = idx % (n - 1) if n > 1 else idx
-    dst = off + (off >= src)
-    trust = _draw_trust(spec.trust_dist, idx.shape[0], rng)
+    # pair index i * (n - 1) + j codes the edge i -> j + (j >= i); the pair
+    # indices are not kept, so they take no memory while the graph is built
+    src, dst = np.divmod(_sample_pair_indices(rng, n * (n - 1), spec.edge_prob), max(n - 1, 1))
+    dst += dst >= src
+    trust = _draw_trust(spec.trust_dist, src.size, rng)
     return _from_edge_arrays(n, src, dst, trust)
 
 

@@ -117,8 +117,8 @@ def compute_weights(g: TrustGraph, state: SessionState) -> np.ndarray:
     """Per-edge averaging weights, aligned with the graph's out-edge arrays.
 
     Rows of raters are zeroed (their scores are pinned, the weights unused).
-    For alpha = 0.5 the result is independent of the rater set, so one table
-    can be reused across rater changes on the same graph.
+    For alpha = 0.5 the other rows are independent of the rater set and equal
+    the graph's own ``half_weights``, which the solvers read instead.
     """
     n = g.n_nodes
     t = g.out_trust
@@ -165,12 +165,7 @@ def _initial_scores(g, state, cfg, mask):
     return s
 
 
-def solve_iterative(
-    g: TrustGraph,
-    state: SessionState,
-    cfg: Optional[SolverConfig] = None,
-    weights: Optional[np.ndarray] = None,
-) -> SatisfactionVector:
+def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None) -> SatisfactionVector:
     """Solve the score fixed point by repeated sparse sweeps.
 
     Starts from ratings-at-raters / zero-elsewhere (or the warm start),
@@ -189,8 +184,7 @@ def solve_iterative(
 
     rater = state.rater_mask(n)
     mask = reachability_mask(g, state.raters)
-    if weights is None:
-        weights = compute_weights(g, state)
+    weights = g.half_weights if state.alpha == 0.5 else compute_weights(g, state)
     s = _initial_scores(g, state, cfg, mask)
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
 

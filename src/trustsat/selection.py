@@ -39,7 +39,6 @@ from .satisfaction import (
     SatisfactionVector,
     SessionState,
     SolverConfig,
-    compute_weights,
     satisfied_count,
     solve_iterative,
 )
@@ -187,14 +186,13 @@ def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] =
     cfg = cfg or SolverConfig()
     cfg.validate()
     free = state.non_raters(g.n_nodes)
-    weights = compute_weights(g, state)
     at = np.full(g.n_nodes, -1, dtype=np.int64)
     at[free] = np.arange(free.size)
     rows = g.out_rows()
     src, dst = at[rows], at[g.out_indices]
     inner = (src >= 0) & (dst >= 0)
     m = np.eye(free.size)
-    m[src[inner], dst[inner]] = -weights[inner]
+    m[src[inner], dst[inner]] = -g.half_weights[inner]
     # (I - W_FF) 1 = 1 - sum_F t^2 / sum t, summed without cancellation: it
     # is exactly 0 on rows whose trust is all 1 and all toward non-raters
     t = g.out_trust

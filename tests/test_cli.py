@@ -289,6 +289,48 @@ def test_config_equals_form_reads_the_file(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    cfgfile = tmp_path / "n.cfg"
+    cfgfile.write_text("nodes = 30\navg_degree = 4\n")
+    out_cfg, out_flags, out_abbrev = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+    assert run_cli("generate", "--config", str(cfgfile), "-o", str(out_cfg)) == 0
+    assert run_cli("generate", "--nodes", "30", "--avg-degree", "4", "-o", str(out_flags)) == 0
+    assert run_cli("generate", "--conf", str(cfgfile), "-o", str(out_abbrev)) == 0
+    assert out_cfg.read_bytes() == out_flags.read_bytes() == out_abbrev.read_bytes()
+    # a required flag the file does not supply is still required
+    cfgfile.write_text("avg_degree = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--config", str(cfgfile), "-o", str(out_cfg))
+    assert exc.value.code == 2
+    assert "--nodes" in capsys.readouterr().err
+    cfgfile.write_text("nodes = many\navg_degree = 4\n")
+    assert run_cli("generate", "--config", str(cfgfile), "-o", str(out_cfg)) == 3
+    assert "config key 'nodes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--nodes", "0", "--avg-degree", "4", "-o", "g.csv"),
+    ("sweep-k", "--nodes", "0", "--avg-degree", "4"),
+    ("cdf", "--nodes", "0", "--avg-degree", "4", "--k", "0.2"),
+    ("compare", "--nodes", "0", "--avg-degree", "4", "--num-seeds", "1"),
+    ("bounds", "--mean-degree", "10", "--t", "0.8", "--empirical", "--nodes", "0"),
+], ids=["generate", "sweep-k", "cdf", "compare", "bounds"])
+def test_zero_nodes_is_validation_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 3
+    assert "--nodes must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["0", "-1"])
+def test_truncnorm_nonpositive_variance_is_validation_error(tmp_path, capsys, var):
+    out = tmp_path / "s.csv"
+    rc = run_cli("sweep-k", "--nodes", "50", "--avg-degree", "4", "--num-seeds", "2",
+                 "--b-truncnorm", f"0.25,{var}", "-o", str(out))
+    assert rc == 3
+    assert "variance must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_unknown_key(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("bogus = 1\n")

@@ -20,6 +20,7 @@ from trustsat import (
     run_session,
     satisfied_count,
     select_marginal_greedy,
+    solve_dense_oracle,
     solve_iterative,
     trust_update,
 )
@@ -254,6 +255,60 @@ def test_session_publish_fraction_stops_early():
     assert partial.status == "published"
     assert partial.raters_used() < full.raters_used()
     assert partial.rounds[-1].fraction >= 0.5
+
+
+def _check_rounds_against_oracle(g, b, log):
+    """Every round's satisfied count equals the dense oracle's for the
+    raters so far, and the session stops at the first round that publishes."""
+    state = SessionState({}, b, log.state.alpha)
+    counts = []
+    for r in log.rounds:
+        state.add_rater(r.rater, r.rating)
+        counts.append(satisfied_count(solve_dense_oracle(g, state), b)[0])
+    assert [r.satisfied for r in log.rounds] == counts
+    assert log.status == "published"
+    assert counts[-1] == g.n_nodes and all(c < g.n_nodes for c in counts[:-1])
+
+
+@pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
+def test_session_single_node(strategy):
+    g = build_graph(1, [])
+    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    log = run_session(g, np.array([0.2]), cfg, rng=np.random.default_rng(0))
+    assert [(r.round, r.rater, r.satisfied) for r in log.rounds] == [(1, 0, 1)]
+    _check_rounds_against_oracle(g, np.array([0.2]), log)
+    low = run_session(g, np.array([0.2]), dataclasses.replace(cfg, rating_source=0.1))
+    assert low.status == "deadlock" and low.raters_used() == 1
+
+
+@pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
+def test_session_two_nodes(strategy):
+    # node 0 trusts node 1: picking 1 first satisfies both, picking 0 first
+    # leaves 1 with no trust path to a rater
+    g = build_graph(2, [(0, 1, 0.5)])
+    b = np.full(2, 0.2)
+    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    for seed in range(4):
+        log = run_session(g, b, cfg, rng=np.random.default_rng(seed))
+        first = log.rounds[0].rater
+        assert log.raters_used() == (1 if first == 1 else 2)
+        if strategy != "random":
+            assert first == 1
+        _check_rounds_against_oracle(g, b, log)
+
+
+@pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
+def test_session_alpha_one(strategy):
+    # at alpha = 1 a non-rater with no rater neighbor averages over its
+    # non-rater neighbors (the alpha -> 1 limit), and marginal rounds re-solve
+    rng = np.random.default_rng(43)
+    for seed in range(3):
+        g = random_graph(rng, n=12, lam=3.0)
+        b = rng.uniform(0.05, 0.6, size=12)
+        cfg = EditingConfig(strategy=SelectionStrategy(strategy), alpha=1.0)
+        log = run_session(g, b, cfg, SolverConfig(tolerance=1e-12), np.random.default_rng(seed))
+        assert 1 <= log.raters_used() <= 12
+        _check_rounds_against_oracle(g, b, log)
 
 
 def test_session_fraction_nondecreasing_at_half_alpha():

@@ -145,6 +145,15 @@ def test_truncated_normal_threshold_moments():
     assert var > 0.02  # wide draw, not degenerate
 
 
+def test_truncated_normal_threshold_tiny_variance():
+    # the bisection probes locations where the truncation normalizer
+    # underflows to zero
+    b, mean, var = truncated_normal_thresholds(50, np.random.default_rng(3), 0.25, 1e-6)
+    assert b.min() >= 0.0 and b.max() <= 1.0
+    assert abs(mean - 0.25) <= 1e-3
+    assert 0.0 < var < 1e-5
+
+
 def test_write_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ["a", "b"], [(1, 0.5), (2, 0.25)], {"n": 2, "note": "x"}, ["status=done"])

@@ -13,6 +13,7 @@ from trustsat import (
     UniformTrust,
     ValidationError,
     build_graph,
+    compute_weights,
     generate_erdos_renyi,
     load_graph,
     load_thresholds,
@@ -20,7 +21,8 @@ from trustsat import (
     save_graph,
     save_thresholds,
 )
-from trustsat.graph import validate_thresholds
+from trustsat.graph import _from_edge_arrays, validate_thresholds
+from helpers import random_graph, random_state
 
 
 def test_build_basic_degrees():
@@ -46,6 +48,12 @@ def test_build_rejects_self_loop():
 def test_build_rejects_duplicates_and_bad_nodes():
     with pytest.raises(DuplicateEdge):
         build_graph(3, [(0, 1, 0.5), (0, 1, 0.7)])
+    # the first duplicate in (src, dst) order is named, wherever it sits
+    shuffled = [(4, 1, 0.5), (2, 3, 0.5), (0, 1, 0.5), (2, 3, 0.5), (4, 1, 0.5), (0, 1, 0.5), (2, 0, 0.5)]
+    with pytest.raises(DuplicateEdge, match=r"duplicate edge \(0, 1\)"):
+        build_graph(5, shuffled)
+    with pytest.raises(DuplicateEdge, match=r"duplicate edge \(2, 3\)"):
+        build_graph(5, [e for e in shuffled if e[0] != 0])
     with pytest.raises(NodeOutOfRange):
         build_graph(2, [(0, 2, 0.5)])
 
@@ -64,6 +72,45 @@ def test_transpose_consistency():
             s_, e_ = g.in_indptr[v], g.in_indptr[v + 1]
             bwd.update((int(u), v) for u in g.in_indices[s_:e_])
         assert fwd == bwd
+
+
+def _lexsort_csr(n, src, dst, trust):
+    """Reference CSR build: sort by (src, dst), transpose by (dst, src)."""
+    order = np.lexsort((dst, src))
+    src, dst, trust = src[order], dst[order], trust[order]
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=out_indptr[1:])
+    in_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=in_indptr[1:])
+    return out_indptr, dst, trust, in_indptr, src[np.lexsort((src, dst))]
+
+
+def test_csr_build_matches_lexsort_reference_on_shuffled_edges():
+    rng = np.random.default_rng(23)
+    for n in [1, 2, 2, 3] + [int(x) for x in rng.integers(2, 60, size=40)]:
+        g = generate_erdos_renyi(
+            ErdosRenyiSpec(n, float(rng.uniform(0, 1)), UniformTrust(), int(rng.integers(2**32)))
+        )
+        src, dst, trust = g.edge_arrays()
+        shuffle = rng.permutation(src.size)
+        src, dst, trust = src[shuffle], dst[shuffle], trust[shuffle]
+        built = _from_edge_arrays(n, src, dst, trust)
+        got = (built.out_indptr, built.out_indices, built.out_trust, built.in_indptr, built.in_indices)
+        for a, b in zip(got, _lexsort_csr(n, src, dst, trust)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert built == g
+
+
+def test_half_weights_equal_compute_weights_on_non_rater_rows():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        g = random_graph(rng, n_range=(1, 60), trust=(0.0, 1.0))
+        state = random_state(rng, g.n_nodes, k=(0.0, 0.6), min_raters=0)
+        free_rows = ~state.rater_mask(g.n_nodes)[g.out_rows()]
+        w = compute_weights(g, state)
+        assert w[free_rows].tobytes() == g.half_weights[free_rows].tobytes()
+    with pytest.raises(ValueError):
+        build_graph(2, [(0, 1, 0.5)]).half_weights[0] = 1.0
 
 
 def test_generate_p_zero_and_one():
