@@ -23,13 +23,28 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 # --------------------------------------------------------------------------
 # Fixed-point score propagation: scores[i] <- sum_j w_ij * scores[j] for the
 # rows listed in `update` (ascending); every other coordinate is pinned.
-# Synchronous sweeps (the full right-hand side is evaluated before any
-# write), stopping when no updated coordinate moved by more than `tol`.
-# Returns (iterations, last_max_change, converged).
+# Each step is one synchronous sweep g(x) (the full right-hand side is
+# evaluated before any write). The weights are nonnegative with row sums of
+# at most one, so a sweep maps scores in [0, 1] into [0, 1]; g caps its
+# output at 1 to drop the rounding of a row whose weights sum to one (a
+# trust-1 row next to raters at 1 can otherwise sum to 1 + 2^-52).
+# Type-II Anderson acceleration mixes the next iterate from the last
+# `window` steps: with residuals f = g(x) - x and their differences dF, dG
+# of f and g(x) between steps,
+#
+#     x <- clip(g(x) - dG gamma, 0, 1),    (dF^T dF) gamma = dF^T f.
+#
+# The clip keeps every swept iterate in [0, 1]. A singular system or a
+# non-finite mix takes the plain step x <- g(x), and window = 0 is the plain
+# sweep throughout. The solve stops when one sweep moves no updated
+# coordinate by more than `tol` and leaves that sweep's output in `scores`;
+# iterations count sweeps. Returns (iterations, last_max_change, converged).
 # --------------------------------------------------------------------------
 
+ANDERSON_WINDOW = 5
 
-def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters):
+
+def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, window=ANDERSON_WINDOW):
     n_upd = update.shape[0]
     if n_upd == 0:
         return 0, 0.0, True
@@ -37,37 +52,68 @@ def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters):
     sub_idx = indices[offs]
     sub_w = weights[offs]
     sub_pos = np.repeat(np.arange(n_upd, dtype=np.int64), counts)
+    d_f = np.empty((window, n_upd))  # ring buffers: step differences of f and g(x)
+    d_g = np.empty((window, n_upd))
+    gram = np.empty((window, window))  # d_f d_f^T, one row and column per step
+    x = scores[update]
     it = 0
     resid = 0.0
     converged = False
     while it < max_iters:
         it += 1
-        new = np.bincount(sub_pos, weights=sub_w * scores[sub_idx], minlength=n_upd)
-        old = scores[update]
-        resid = float(np.max(np.abs(new - old)))
-        scores[update] = new
+        gx = np.bincount(sub_pos, weights=sub_w * scores[sub_idx], minlength=n_upd)
+        np.minimum(gx, 1.0, out=gx)
+        f = gx - x
+        resid = float(np.max(np.abs(f)))
         if resid <= tol:
             converged = True
             break
+        x = gx
+        if window and it > 1:
+            slot, used = (it - 2) % window, min(it - 1, window)
+            np.subtract(f, f_prev, out=d_f[slot])
+            np.subtract(gx, gx_prev, out=d_g[slot])
+            gram[slot, :used] = gram[:used, slot] = d_f[:used] @ d_f[slot]
+            x = _anderson_step(gram[:used, :used], d_f[:used], d_g[:used], f, gx)
+        f_prev, gx_prev = f, gx
+        scores[update] = x
+    scores[update] = gx
     return it, resid, converged
+
+
+def _anderson_step(gram, d_f, d_g, f, gx):
+    """The mixed iterate clipped to [0, 1], or the plain step gx when the
+    normal equations are singular or the mix is not finite."""
+    try:
+        gamma = np.linalg.solve(gram, d_f @ f)
+    except np.linalg.LinAlgError:
+        return gx
+    mixed = gx - gamma @ d_g
+    if not np.all(np.isfinite(mixed)):
+        return gx
+    return np.clip(mixed, 0.0, 1.0, out=mixed)
 
 
 # --------------------------------------------------------------------------
 # Reachability on the transpose graph: nodes with a directed path (following
 # out-edges) into `sources`, by breadth-first frontiers. in_indptr/in_indices
-# give, per node, the nodes that trust it.
+# give, per node, the nodes that trust it. Each level marks its candidates
+# in a boolean array and drops those already reached, so the next frontier
+# (np.flatnonzero of that array) comes out sorted and free of repeats
+# without a sort.
 # --------------------------------------------------------------------------
 
 
 def reachable_mask(in_indptr, in_indices, sources, n):
     mask = np.zeros(n, dtype=bool)
-    frontier = np.unique(sources)
-    mask[frontier] = True
+    level = np.zeros(n, dtype=bool)
+    level[sources] = True
+    frontier = np.flatnonzero(level)
     while frontier.size:
-        offs, _ = row_edges(in_indptr, frontier)
-        cand = in_indices[offs]
-        frontier = np.unique(cand[~mask[cand]])
         mask[frontier] = True
+        level[in_indices[row_edges(in_indptr, frontier)[0]]] = True
+        level &= ~mask  # also clears the frontier just reached
+        frontier = np.flatnonzero(level)
     return mask
 
 

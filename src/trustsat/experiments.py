@@ -303,7 +303,9 @@ def truncated_normal_thresholds(
 ) -> tuple[np.ndarray, float, float]:
     """Heterogeneous thresholds: a normal rejection-sampled into [0, 1],
     with its location tuned so the post-truncation mean hits the target.
-    Returns (thresholds, achieved_mean, achieved_variance)."""
+    Returns (thresholds, achieved_mean, achieved_variance). Raises
+    ValidationError when no location in [-4, 4] reaches the target, as for
+    a variance too large for it."""
     if not (0.0 < target_mean < 1.0):
         raise ValidationError(f"target_mean must lie in (0, 1), got {target_mean}")
     if not variance > 0.0:
@@ -317,6 +319,11 @@ def truncated_normal_thresholds(
         else:
             hi = mid
     mu = 0.5 * (lo + hi)
+    nearest = _truncated_mean(mu, sigma)
+    if abs(nearest - target_mean) > 1e-6:
+        raise ValidationError(
+            f"no truncated normal with variance {variance} has mean {target_mean} on [0, 1] (nearest: {nearest:.6g})"
+        )
     out = np.empty(n)
     filled = 0
     while filled < n:

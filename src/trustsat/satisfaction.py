@@ -10,8 +10,11 @@ where f_j is alpha for rater neighbors and 1 - alpha otherwise, and T_R(i),
 T_N(i) are the summed trusts from i toward rater and non-rater neighbors.
 Nodes with no directed trust path into the rater set are pinned to zero.
 Squaring the trust in the numerator makes the weights sum to at most one,
-which gives this system a unique solution on the reachable set; the solver
-below reaches it by synchronous sweeps, monotonically from a zero start.
+which gives this system a unique solution on the reachable set. The solver
+below reaches it by synchronous sweeps with Anderson acceleration (see
+``_kernels.propagate_scores``): it stops at the first plain sweep that moves
+no score by more than the tolerance and returns that sweep's scores, which
+lie in [0, 1].
 
 ``alpha`` (the extra weight on first-hand opinions) lives in [0.5, 1]. At
 exactly alpha = 1 a non-rater with no rater neighbor would have a 0/0
@@ -166,13 +169,14 @@ def _initial_scores(g, state, cfg, mask):
 
 
 def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None) -> SatisfactionVector:
-    """Solve the score fixed point by repeated sparse sweeps.
+    """Solve the score fixed point by accelerated sparse sweeps.
 
     Starts from ratings-at-raters / zero-elsewhere (or the warm start),
     pins unreachable nodes to zero, and sweeps reachable non-rater rows
-    until no coordinate moves more than the tolerance. ``converged`` is
-    False when the iteration budget ran out first. With no raters the
-    result is the all-zero vector.
+    until a sweep moves no coordinate more than the tolerance.
+    ``iterations_used`` counts sweeps, and ``converged`` is False when the
+    iteration budget ran out first. With no raters the result is the
+    all-zero vector.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()

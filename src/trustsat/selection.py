@@ -39,6 +39,7 @@ from .satisfaction import (
     SatisfactionVector,
     SessionState,
     SolverConfig,
+    require_converged,
     satisfied_count,
     solve_iterative,
 )
@@ -97,15 +98,16 @@ def marginal_satisfaction(
     base_count: Optional[int] = None,
 ) -> int:
     """Change in the satisfied-user count if `candidate` rated the document
-    at `assumed_rating`. The input state is left untouched."""
+    at `assumed_rating`. The input state is left untouched. Raises
+    NotConverged when a solve runs out of iterations."""
     if candidate in state.ratings:
         raise ValidationError(f"candidate {candidate} is already a rater")
     if base_count is None:
-        base = solve_iterative(g, state, cfg)
+        base = require_converged(solve_iterative(g, state, cfg), "base solve")
         base_count, _ = satisfied_count(base, state.thresholds)
     trial = state.copy()
     trial.add_rater(candidate, assumed_rating)
-    sv = solve_iterative(g, trial, cfg)
+    sv = require_converged(solve_iterative(g, trial, cfg), f"trial solve for candidate {candidate}")
     count, _ = satisfied_count(sv, state.thresholds)
     return count - base_count
 
@@ -117,9 +119,10 @@ def select_marginal_greedy(
     cfg: Optional[SolverConfig] = None,
 ) -> int:
     """Non-rater with the largest marginal satisfaction, re-solving the
-    score system for every candidate. Ties go to the smallest index."""
+    score system for every candidate. Ties go to the smallest index. Raises
+    NotConverged at the first solve that runs out of iterations."""
     nr = _non_raters(g, state)
-    base = solve_iterative(g, state, cfg)
+    base = require_converged(solve_iterative(g, state, cfg), "base solve")
     base_count, _ = satisfied_count(base, state.thresholds)
     best_node = -1
     best_gain = None

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,20 @@ def test_truncnorm_nonpositive_variance_is_validation_error(tmp_path, capsys, va
                  "--b-truncnorm", f"0.25,{var}", "-o", str(out))
     assert rc == 3
     assert "variance must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncnorm_unreachable_mean_is_validation_error(tmp_path, capsys):
+    # so wide a normal truncates to nearly uniform on [0, 1], whose mean 0.5
+    # no location in the bisection's range can pull down to 0.25; the check
+    # comes before the rejection sampler, which would keep ~4e-7 of its draws
+    out = tmp_path / "s.csv"
+    start = time.perf_counter()
+    rc = run_cli("sweep-k", "--nodes", "50", "--avg-degree", "4", "--num-seeds", "2",
+                 "--b-truncnorm", "0.25,1e12", "-o", str(out))
+    assert rc == 3
+    assert time.perf_counter() - start < 2.0
+    assert "has mean 0.25" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trustsat import (
+    ConstantTrust,
     EditingConfig,
     ErdosRenyiSpec,
     NotConverged,
@@ -309,6 +310,22 @@ def test_session_alpha_one(strategy):
         log = run_session(g, b, cfg, SolverConfig(tolerance=1e-12), np.random.default_rng(seed))
         assert 1 <= log.raters_used() <= 12
         _check_rounds_against_oracle(g, b, log)
+
+
+@pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
+@pytest.mark.parametrize("n, seed", [(300, 4), (40, 25)])
+def test_session_trust_one_graph(strategy, n, seed):
+    # every trust exactly 1: the all-free table is singular, so marginal
+    # round 1 re-solves every candidate, and a row next to raters at 1 sums
+    # to one, so its score must not round above 1 into the next warm start
+    # (the trust session on the 40-node graph meets such a row)
+    g = generate_erdos_renyi(ErdosRenyiSpec(n, 6 / n, ConstantTrust(1.0), seed))
+    b = np.full(n, 0.2)
+    log = run_session(g, b, EditingConfig(strategy=SelectionStrategy(strategy)), rng=np.random.default_rng(0))
+    _check_rounds_against_oracle(g, b, log)
+    assert np.all((log.final.scores >= 0.0) & (log.final.scores <= 1.0))
+    if strategy == "marginal" and n == 300:
+        assert log.raters_used() == 1
 
 
 def test_session_fraction_nondecreasing_at_half_alpha():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trustsat import _kernels
-from trustsat import SolverConfig, compute_weights, delta_init
+from trustsat import SolverConfig, build_graph, compute_weights, delta_init
 from trustsat.satisfaction import reachability_mask
 from helpers import random_graph, random_state
 
@@ -25,8 +25,9 @@ def _instance(seed):
 
 
 def _python_sweeps(indptr, indices, weights, update, scores, tol, max_iters):
-    """Synchronous sweeps as a row-by-row loop over the CSR arrays; the last
-    value is False once a sweep lowered a coordinate by more than 1e-12."""
+    """Synchronous sweeps as a row-by-row loop over the CSR arrays, each
+    score capped at 1; the last value is False once a sweep lowered a
+    coordinate by more than 1e-12."""
     it = 0
     resid = 0.0
     monotone = True
@@ -37,7 +38,7 @@ def _python_sweeps(indptr, indices, weights, update, scores, tol, max_iters):
             acc = 0.0
             for e in range(indptr[i], indptr[i + 1]):
                 acc += weights[e] * scores[indices[e]]
-            new.append(acc)
+            new.append(min(acc, 1.0))
         resid = max(abs(v - scores[i]) for v, i in zip(new, update))
         monotone = monotone and all(v >= scores[i] - 1e-12 for v, i in zip(new, update))
         for v, i in zip(new, update):
@@ -54,11 +55,45 @@ def test_propagate_matches_python_loop_bitwise(seed, max_iters):
     s_np = s0.copy()
     s_py = s0.copy()
     args = (g.out_indptr, g.out_indices, w, update)
-    out = _kernels.propagate_scores(*args, s_np, 1e-10, max_iters)
+    out = _kernels.propagate_scores(*args, s_np, 1e-10, max_iters, window=0)
     *ref, monotone = _python_sweeps(*args, s_py, 1e-10, max_iters)
     assert out == tuple(ref)
     assert monotone  # zero start below the fixed point rises monotonically
     assert np.array_equal(s_np, s_py)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan"])
+def test_propagate_singular_gram_takes_plain_steps(monkeypatch, failure):
+    # every mixing solve fails: each step falls back to the plain sweep, so
+    # the accelerated kernel repeats window = 0 bit for bit, with no NaN
+    g, w, update, s0 = _instance(4)
+    args = (g.out_indptr, g.out_indices, w, update)
+    s_plain = s0.copy()
+    plain = _kernels.propagate_scores(*args, s_plain, 1e-10, 5000, window=0)
+
+    def singular(a, b):
+        if failure == "raise":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(b.shape, np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    s_acc = s0.copy()
+    assert _kernels.propagate_scores(*args, s_acc, 1e-10, 5000) == plain
+    assert np.array_equal(s_acc, s_plain) and np.all(np.isfinite(s_acc))
+
+
+def test_propagate_caps_rows_that_round_above_one():
+    # node 0 trusts nine raters at 1, all rating 1: its weights are 1/9 and
+    # their summed products round to 1 + 2^-52, which the sweep caps at 1 so
+    # that the scores can seed a warm start
+    g = build_graph(10, [(0, j, 1.0) for j in range(1, 10)])
+    w = g.half_weights
+    assert np.bincount(np.zeros(9, dtype=np.int64), weights=w)[0] > 1.0
+    for window in (0, _kernels.ANDERSON_WINDOW):
+        s = np.r_[0.0, np.ones(9)]
+        out = _kernels.propagate_scores(g.out_indptr, g.out_indices, w, np.array([0]), s, 1e-10, 100, window=window)
+        assert out == (2, 0.0, True)
+        assert s[0] == 1.0
 
 
 def test_propagate_empty_update_returns_early():

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from trustsat import _kernels
 from trustsat import (
+    ErdosRenyiSpec,
     SessionState,
     SolverConfig,
     TooLarge,
+    UniformTrust,
     ValidationError,
     build_graph,
     compute_weights,
+    generate_erdos_renyi,
     reachability_mask,
     satisfied_count,
     solve_dense_oracle,
@@ -138,6 +142,38 @@ def test_iterative_matches_dense_on_random_instances():
         assert np.max(np.abs(a.scores - b.scores)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
+@pytest.mark.parametrize("trust", [(0.05, 0.95), 1.0], ids=["uniform", "trust-1"])
+def test_accelerated_matches_dense_oracle(alpha, trust):
+    # ratings of 0 and 1 side by side, cold and warm starts; at trust 1 the
+    # weights of a row sum to one and the residual differences go collinear
+    rng = np.random.default_rng(int(alpha * 10) + (7 if trust == 1.0 else 0))
+    for trial in range(12):
+        g = random_graph(rng, n_range=(2, 200), lam_range=(1.0, 10.0), trust=trust)
+        st = random_state(rng, g.n_nodes, k=(0.005, 0.4), alpha=alpha)
+        st.ratings = {i: float(rng.choice([0.0, 1.0])) for i in st.ratings}
+        warm = rng.uniform(0.0, 1.0, g.n_nodes) if trial % 2 else None
+        sv = solve_iterative(g, st, SolverConfig(warm_start=warm))
+        assert sv.converged
+        assert np.max(np.abs(sv.scores - solve_dense_oracle(g, st).scores)) <= 1e-8
+        assert np.all((sv.scores >= 0.0) & (sv.scores <= 1.0))
+
+
+def test_accelerated_needs_at_most_half_the_sweeps(monkeypatch):
+    # the cold solve of the paper's rater-fraction curve at its smallest k
+    n = 2000
+    g = generate_erdos_renyi(ErdosRenyiSpec(n, 30 / n, UniformTrust(), 5))
+    raters = np.random.default_rng(5).choice(n, size=int(0.02 * n), replace=False)
+    st = SessionState({int(i): 1.0 for i in raters}, np.full(n, 0.2))
+    fast = solve_iterative(g, st)
+    accelerated = _kernels.propagate_scores
+    monkeypatch.setattr(_kernels, "propagate_scores", lambda *args: accelerated(*args, window=0))
+    plain = solve_iterative(g, st)
+    assert fast.converged and plain.converged
+    assert fast.iterations_used <= plain.iterations_used // 2
+    assert np.max(np.abs(fast.scores - plain.scores)) <= 1e-8
+
+
 def test_warm_start_agrees_with_zero_start():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -167,15 +203,26 @@ def test_monotone_sweeps_from_zero_start():
     rng = np.random.default_rng(37)
     g = random_graph(rng)
     st = random_state(rng, g.n_nodes)
-    sv = solve_iterative(g, st)
-    assert sv.converged
-    # every prefix solve sits coordinate-wise at or above the one before
+    w = compute_weights(g, st)
+    mask = reachability_mask(g, st.raters)
+    update = np.flatnonzero(mask & ~st.rater_mask(g.n_nodes)).astype(np.int64)
+
+    def plain(max_iters):
+        s = st.rating_vector(g.n_nodes)
+        out = _kernels.propagate_scores(
+            g.out_indptr, g.out_indices, w, update, s, SolverConfig().tolerance, max_iters, window=0
+        )
+        return out, s
+
+    (iters, _, converged), full = plain(10**6)
+    assert converged
+    # every prefix of the plain sweep sits coordinate-wise at or above the one before
     prev = np.zeros(g.n_nodes)
-    for iters in range(1, sv.iterations_used + 1):
-        part = solve_iterative(g, st, SolverConfig(max_iterations=iters)).scores
+    for k in range(1, iters + 1):
+        part = plain(k)[1]
         assert np.all(part >= prev - 1e-15)
         prev = part
-    assert np.array_equal(prev, sv.scores)
+    assert np.array_equal(prev, full)
 
 
 def test_scores_pinned_outside_reach():

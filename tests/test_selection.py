@@ -9,6 +9,7 @@ from trustsat import (
     AlphaUnsupported,
     EditingConfig,
     NoNonRaters,
+    NotConverged,
     SelectionStrategy,
     SessionState,
     SingularInfluence,
@@ -119,6 +120,29 @@ def test_select_marginal_greedy_star_cases():
     # nothing gains anyone: smallest index
     g3 = build_graph(3, [])
     assert select_marginal_greedy(g3, SessionState({}, np.ones(3)), 1.0, TIGHT) == 0
+
+
+def test_resolve_greedy_raises_at_first_unconverged_solve(monkeypatch):
+    # alpha 0.75 has no influence table, so a marginal round re-solves per
+    # candidate; with a one-sweep budget the first trial solve cannot converge
+    g = random_graph(np.random.default_rng(41), n=30, lam=4.0)
+    solves = []
+
+    def counted(*args, **kwargs):
+        sv = solve_iterative(*args, **kwargs)
+        solves.append(sv.converged)
+        return sv
+
+    monkeypatch.setattr("trustsat.selection.solve_iterative", counted)
+    one_sweep = SolverConfig(max_iterations=1)
+    state = SessionState({}, np.full(30, 0.2), alpha=0.75)
+    with pytest.raises(NotConverged, match="trial solve for candidate"):
+        select_marginal_greedy(g, state, 1.0, one_sweep)
+    assert len(solves) <= 2 and solves[-1] is False
+    solves.clear()
+    with pytest.raises(NotConverged, match="trial solve for candidate"):
+        marginal_satisfaction(g, state, 0, 1.0, one_sweep)
+    assert solves == [True, False]
 
 
 def test_delta_init_chain():
