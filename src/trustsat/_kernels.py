@@ -146,34 +146,46 @@ def invert_in_place(a, block=128):
 
 
 # --------------------------------------------------------------------------
-# Candidate scan for the greedy fast path over the influence buffer m, where
-# free node i sits at row and column free_pos[i]. For each candidate c, form
-# the hypothetical scores s + (rating - s_c) * m[:, c] / m[c, c] (with c
-# itself pinned to the rating), count entries above threshold, and return
-# the first candidate position with the largest gain over the current count.
-# m >= 0, so a candidate at or below the rating lifts every score and only
-# the unsatisfied rows are read for it; one above the rating reads them all.
+# Candidate scan for the greedy fast path over the influence table
+# M = m - u @ v, where free node i sits at row and column free_pos[i] of the
+# buffer m and u, v are the optional pending low-rank factors. For each
+# candidate c, form the hypothetical scores s + (rating - s_c) * M[:, c] /
+# M[c, c] (with c itself pinned to the rating), count entries above
+# threshold, and return the first candidate position with the largest gain
+# over the current count. Each chunk of rows is taken from m and has the
+# factors applied before it is scanned; M is never formed. M >= 0, so a
+# candidate at or below the rating lifts every score and only the
+# unsatisfied rows are read for it; one above the rating reads them all.
 # --------------------------------------------------------------------------
 
 
-def injection_scan(m, s_free, b_free, rating, free_pos, chunk=64):
+def injection_scan(m, s_free, b_free, rating, free_pos, chunk=64, u=None, v=None):
+    pending = u is not None and u.shape[1] > 0
     sat = s_free > b_free
     cur = int(np.count_nonzero(sat))
+    diag = m[free_pos, free_pos]
+    if pending:
+        diag = diag - np.einsum("ij,ji->i", u[free_pos], v[:, free_pos])
     scale = np.zeros(m.shape[0])  # per buffer column; 0 where no node is free
-    scale[free_pos] = (rating - s_free) / m[free_pos, free_pos]
+    scale[free_pos] = (rating - s_free) / diag
     rising = scale[free_pos] >= 0.0
     counts = np.where(rising, cur, 0)
+    flags = np.empty((chunk, m.shape[0]), dtype=bool)
     for rows, cand in ((np.flatnonzero(~sat), rising), (np.arange(s_free.shape[0]), ~rising)):
         if not cand.any():
             continue
-        hits = np.zeros(m.shape[0], dtype=np.int64)  # columns of other candidates are not read back
+        hits = np.zeros(m.shape[0], dtype=np.int32)  # columns of other candidates are not read back
         for lo in range(0, rows.size, chunk):
             r = rows[lo:lo + chunk]
-            block = m.take(free_pos[r], axis=0)
+            at = free_pos[r]
+            block = m.take(at, axis=0)
+            if pending:
+                block -= u[at] @ v
             block *= scale
             block += s_free[r, None]
-            block[np.arange(r.size), free_pos[r]] = rating
-            hits += np.count_nonzero(block > b_free[r, None], axis=0)
+            block[np.arange(r.size), at] = rating
+            above = np.greater(block, b_free[r, None], out=flags[:r.size])
+            hits += np.add.reduce(above.view(np.uint8), axis=0, dtype=np.int32)
         counts[cand] += hits[free_pos[cand]]
     best = int(np.argmax(counts))
     return best, int(counts[best]) - cur

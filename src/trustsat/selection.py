@@ -20,9 +20,19 @@ complement, which is the inverse over the remaining free nodes:
 
     M'[i, j] = M[i, j] - M[i, k] * M[k, j] / M[k, k],    M[k, k] >= 1.
 
-The table holds M in one buffer over the free nodes it was built for and
-updates it in place; k's row and column become zero, and a mask of buffer
-positions (``DeltaMatrix.pos``) tracks the free nodes left.
+The table holds M in factored form over the free nodes it was built for,
+
+    M = m - U V,
+
+with a dense buffer ``m`` and up to ``PENDING_RANK`` pending promotes in the
+thin factors U and V. A promote reads k's current column and row (one
+matrix-vector product each) and appends the column over the pivot to U and
+the row to V, which costs O(n r) instead of a pass over all n^2 entries;
+when the factors are full they are flushed into ``m`` by one chunked
+matmul. The candidate scan applies the pending factors to each chunk of
+rows it reads. Entries in the rows and columns of promoted nodes are left
+over (near zero) and never read. The buffer positions of the free nodes
+left are tracked in ``DeltaMatrix.pos``.
 """
 from __future__ import annotations
 
@@ -50,8 +60,9 @@ STRATEGY_KINDS = ("random", "trust", "marginal")
 # the re-solve greedy costs n_free + 1 full solves per round in its place.
 DELTA_FAST_PATH_CAP = 5000
 
-# Rows per chunk of the in-place promote; bounds its temporaries.
-PROMOTE_CHUNK = 64
+# Pending promotes held in the factors of the influence table before they
+# are flushed into its buffer.
+PENDING_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -140,22 +151,32 @@ def select_marginal_greedy(
 class DeltaMatrix:
     """Pairwise influence coefficients over the current non-raters.
 
-    ``m`` holds M over the non-raters the table was built for and is
-    updated in place by ``delta_promote``; ``pos`` gives the buffer position
-    of each current non-rater in ``free_nodes``. ``raters`` fingerprints the
-    rater set the table is valid for.
+    The table is M = m - u[:, :rank] @ v[:rank] over the non-raters it was
+    built for: ``m`` is the buffer, and ``u`` and ``v`` hold the ``rank``
+    promotes that ``delta_promote`` has not yet flushed into it. ``pos``
+    gives the buffer position of each current non-rater in ``free_nodes``.
+    ``raters`` fingerprints the rater set the table is valid for.
     """
 
     m: np.ndarray
     pos: np.ndarray
     free_nodes: np.ndarray
     raters: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    rank: int = 0
+
+    def pending(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pending factors, as views: M = m - u @ v."""
+        return self.u[:, :self.rank], self.v[:self.rank]
 
     @property
     def delta(self) -> np.ndarray:
         """``delta[c, j]``: rise of free node j per unit pinned at free node
         c, as a new array over the current non-raters."""
+        u, v = self.pending()
         sub = self.m.take(self.pos, axis=0).take(self.pos, axis=1)
+        sub -= u[self.pos] @ v[:, self.pos]
         return sub.T / np.diag(sub)[:, None]
 
     def position(self, node: int) -> int:
@@ -165,8 +186,11 @@ class DeltaMatrix:
         return pos
 
     def row(self, node: int) -> np.ndarray:
-        p = self.pos[self.position(node)]
-        return self.m[self.pos, p] / self.m[p, p]
+        c = self.position(node)
+        p = self.pos[c]
+        u, v = self.pending()
+        col = self.m[self.pos, p] - u[self.pos] @ v[:, p]
+        return col / col[c]
 
     def matches(self, state: SessionState) -> bool:
         return np.array_equal(self.raters, state.raters)
@@ -211,22 +235,30 @@ def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] =
         raise SingularInfluence(
             f"inverse of I - W over the non-raters fails its certificate (residual {resid:.3g})"
         )
-    return DeltaMatrix(m, np.arange(free.size), free, state.raters)
+    u = np.empty((free.size, PENDING_RANK))
+    v = np.empty((PENDING_RANK, free.size))
+    return DeltaMatrix(m, np.arange(free.size), free, state.raters, u, v)
 
 
 def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
-    """Promote non-rater k: take the Schur complement of the table in place,
-    drop k from the free set and add it to the fingerprint. Returns ``dm``,
-    which now describes the promoted rater set."""
+    """Promote non-rater k: append its Schur complement update to the
+    pending factors (flushing them into the buffer when full), drop k from
+    the free set and add it to the fingerprint. Returns ``dm``, which now
+    describes the promoted rater set."""
     c = dm.position(k)
     p = dm.pos[c]
-    m = dm.m
-    col = m[:, p] / m[p, p]
-    row = m[p, :].copy()
-    for lo in range(0, m.shape[0], PROMOTE_CHUNK):
-        m[lo:lo + PROMOTE_CHUNK] -= col[lo:lo + PROMOTE_CHUNK, None] * row
-    m[p, :] = 0.0
-    m[:, p] = 0.0
+    r = dm.rank
+    u, v = dm.pending()
+    col = dm.m[:, p] - u @ v[:, p]
+    dm.v[r] = dm.m[p] - u[p] @ v
+    dm.u[:, r] = col / col[p]
+    dm.rank = r + 1
+    if dm.rank == PENDING_RANK:
+        # row chunks of the same size bound the flush's temporaries
+        m = dm.m
+        for lo in range(0, m.shape[0], PENDING_RANK):
+            m[lo:lo + PENDING_RANK] -= dm.u[lo:lo + PENDING_RANK] @ dm.v
+        dm.rank = 0
     dm.pos = np.delete(dm.pos, c)
     dm.free_nodes = np.delete(dm.free_nodes, c)
     dm.raters = np.sort(np.append(dm.raters, k))
@@ -250,7 +282,8 @@ def marginal_greedy_fast(
         raise NoNonRaters("every node is already a rater")
     s_free = s.scores[dm.free_nodes]
     b_free = state.thresholds[dm.free_nodes]
-    best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos)
+    u, v = dm.pending()
+    best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos, u=u, v=v)
     return int(dm.free_nodes[best_pos])
 
 
@@ -267,7 +300,8 @@ def select_optimal_exhaustive(
 ) -> tuple[int, ...]:
     """Best rater set of size <= budget by full enumeration. Benchmark
     oracle only; guarded against combinatorial blowup. Ties break
-    lexicographically on the sorted node tuple."""
+    lexicographically on the sorted node tuple. Raises NotConverged at the
+    first solve that runs out of iterations."""
     nr = state.non_raters(g.n_nodes)
     if nr.size > EXHAUSTIVE_MAX_FREE or budget > EXHAUSTIVE_MAX_BUDGET:
         raise TooLarge(
@@ -283,7 +317,7 @@ def select_optimal_exhaustive(
             trial = state.copy()
             for node in combo:
                 trial.add_rater(int(node), assumed_rating)
-            sv = solve_iterative(g, trial, cfg)
+            sv = require_converged(solve_iterative(g, trial, cfg), f"exhaustive solve for raters {combo}")
             count, _ = satisfied_count(sv, state.thresholds)
             if count > best_count or (count == best_count and combo < best_set):
                 best_count = count

@@ -220,6 +220,37 @@ def test_injection_scan_chunking_and_brute_force():
         assert chunked == whole == _brute_force_scan(delta, s_free, b_free, rating)
 
 
+@pytest.mark.parametrize("rank", [0, 1, 32])
+def test_injection_scan_applies_pending_factors(rank):
+    # the scan on m with pending factors u, v must agree with the scan on
+    # the materialized table m - u @ v and with brute force over it
+    rng = np.random.default_rng(17 + rank)
+    for _ in range(4):
+        size = int(rng.integers(40, 300))
+        table = rng.uniform(0, 1, (size, size)) * (rng.uniform(0, 1, (size, size)) < 0.5)
+        table[np.diag_indices(size)] = rng.uniform(1, 2, size)
+        free_pos = np.sort(rng.choice(size, size=size - int(rng.integers(1, 5)), replace=False))
+        gone = np.setdiff1d(np.arange(size), free_pos)
+        table[gone, :] = 0.0
+        table[:, gone] = 0.0
+        u = np.empty((size, 32))[:, :rank]  # a view into wider factors, as DeltaMatrix.pending gives
+        u[:] = rng.uniform(0, 1, (size, rank))
+        v = rng.uniform(0, 1, (rank, size))
+        m = table + u @ v
+        current = m - u @ v
+        n_free = free_pos.size
+        s_free = rng.uniform(0, 1, n_free)
+        b_free = rng.uniform(0, 1, n_free)
+        rating = 0.6
+        assert (s_free < rating).any() and (s_free > rating).any()
+        sub = current[np.ix_(free_pos, free_pos)]
+        delta = sub.T / np.diag(sub)[:, None]
+        expect = _brute_force_scan(delta, s_free, b_free, rating)
+        for chunk in (7, size):
+            assert _kernels.injection_scan(current, s_free, b_free, rating, free_pos, chunk=chunk) == expect
+            assert _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=chunk, u=u, v=v) == expect
+
+
 def test_injection_scan_pins_candidate_at_rating():
     # 49 * (1 / 49) rounds to just below 1: the candidate's own entry must
     # be the rating itself, as a re-solve pins it, not the scaled product

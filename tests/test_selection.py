@@ -29,6 +29,7 @@ from trustsat import (
     select_trust_greedy,
     solve_iterative,
 )
+from trustsat.selection import PENDING_RANK
 from helpers import random_graph, random_state
 
 TIGHT = SolverConfig(tolerance=1e-12)
@@ -202,6 +203,26 @@ def test_delta_promote_matches_reinit():
             free = dm.free_nodes
 
 
+def test_fast_path_matches_slow_path_across_flushes():
+    # 70 promotes flush the pending factors twice and leave 6 pending
+    rng = np.random.default_rng(233)
+    g = random_graph(rng, n=100, lam=6.0)
+    state = SessionState({}, rng.uniform(0.1, 0.9, g.n_nodes), 0.5)
+    sv = solve_iterative(g, state, TIGHT)
+    dm = delta_init(g, state, TIGHT)
+    steps = 70
+    for _step in range(steps):
+        slow = select_marginal_greedy(g, state, 1.0, TIGHT)
+        fast = marginal_greedy_fast(g, state, sv, dm, 1.0)
+        assert fast == slow
+        dm = delta_promote(dm, fast)
+        state.add_rater(fast, 1.0)
+        ref = delta_init(g, state, TIGHT)
+        assert np.max(np.abs(dm.delta - ref.delta)) <= 1e-8
+        sv = solve_iterative(g, state, TIGHT)
+    assert steps >= 2 * PENDING_RANK and dm.rank == steps % PENDING_RANK
+
+
 def test_delta_matrix_stale_checks():
     g = build_graph(3, [(0, 1, 0.5)])
     state = SessionState({}, np.zeros(3))
@@ -365,6 +386,14 @@ def test_exhaustive_guard():
     g2 = build_graph(5, [])
     with pytest.raises(TooLarge):
         select_optimal_exhaustive(g2, SessionState({}, np.zeros(5)), 6)
+
+
+def test_exhaustive_raises_on_unconverged_solve():
+    rng = np.random.default_rng(239)
+    g = random_graph(rng, n=12, lam=4.0)
+    state = SessionState({}, rng.uniform(0.05, 0.6, g.n_nodes), 0.5)
+    with pytest.raises(NotConverged, match="exhaustive solve"):
+        select_optimal_exhaustive(g, state, 2, 1.0, SolverConfig(max_iterations=1))
 
 
 def test_exhaustive_solves_max_cover():
