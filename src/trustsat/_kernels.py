@@ -7,6 +7,9 @@ row-by-row loop.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+
 import numpy as np
 
 
@@ -143,6 +146,62 @@ def invert_in_place(a, block=128):
             a[r0:r1, :] -= f @ top
         a[k0:k1, :] = top
     return a
+
+
+# --------------------------------------------------------------------------
+# BLAS on one thread for the greedy fast path. A session runs thousands of
+# small products (a 64-row chunk times the pending rank, about 2M
+# multiply-adds each) and one inversion. OpenBLAS spreads products of that
+# size over its worker threads, which gains little and makes each call
+# wait for every worker: when another process keeps a core busy, a call
+# stalls until its descheduled worker runs again. On two CPUs with one of
+# them kept busy, a marginal session on G(1000, 10/1000) took 1.4 s in the
+# median (up to 1.9 s) with two BLAS threads and 0.6-0.7 s with one, about
+# its time with both CPUs idle. The inversion gains from a
+# second thread on idle CPUs (54 against 77 ms at n = 1000) and loses more
+# on busy ones (105-205 ms), so it runs on one as well. `serial_blas`
+# sets the thread count of the OpenBLAS that numpy calls to one for the
+# block it wraps and restores it afterwards; the count is process-wide.
+# Where no OpenBLAS symbols resolve through numpy's core module it does
+# nothing.
+# --------------------------------------------------------------------------
+
+
+def _openblas_thread_calls():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)  # its BLAS resolves through it
+    except OSError:
+        return None
+    # numpy 2 wheels, numpy 1 wheels, a system OpenBLAS
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.restype = ctypes.c_int
+            put.argtypes = [ctypes.c_int]
+            put.restype = None
+            return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
+
+
+@contextlib.contextmanager
+def serial_blas():
+    threads = _OPENBLAS_THREADS[0]() if _OPENBLAS_THREADS else 1
+    if threads == 1:
+        yield
+        return
+    _OPENBLAS_THREADS[1](1)
+    try:
+        yield
+    finally:
+        _OPENBLAS_THREADS[1](threads)
 
 
 # --------------------------------------------------------------------------

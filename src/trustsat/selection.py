@@ -227,7 +227,8 @@ def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] =
     total = np.bincount(rows, weights=t, minlength=g.n_nodes)
     leak = np.divide(kept, total, out=np.ones(g.n_nodes), where=total > 0)[free]
     try:
-        _kernels.invert_in_place(m)
+        with _kernels.serial_blas():
+            _kernels.invert_in_place(m)
     except np.linalg.LinAlgError:
         raise SingularInfluence("I - W over the non-raters has a singular pivot block") from None
     resid = float(np.max(np.abs(m @ leak - 1.0), initial=0.0))
@@ -256,8 +257,9 @@ def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
     if dm.rank == PENDING_RANK:
         # row chunks of the same size bound the flush's temporaries
         m = dm.m
-        for lo in range(0, m.shape[0], PENDING_RANK):
-            m[lo:lo + PENDING_RANK] -= dm.u[lo:lo + PENDING_RANK] @ dm.v
+        with _kernels.serial_blas():
+            for lo in range(0, m.shape[0], PENDING_RANK):
+                m[lo:lo + PENDING_RANK] -= dm.u[lo:lo + PENDING_RANK] @ dm.v
         dm.rank = 0
     dm.pos = np.delete(dm.pos, c)
     dm.free_nodes = np.delete(dm.free_nodes, c)
@@ -283,7 +285,8 @@ def marginal_greedy_fast(
     s_free = s.scores[dm.free_nodes]
     b_free = state.thresholds[dm.free_nodes]
     u, v = dm.pending()
-    best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos, u=u, v=v)
+    with _kernels.serial_blas():
+        best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos, u=u, v=v)
     return int(dm.free_nodes[best_pos])
 
 

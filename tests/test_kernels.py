@@ -258,3 +258,20 @@ def test_injection_scan_pins_candidate_at_rating():
     s_free = np.zeros(2)
     b_free = np.array([np.nextafter(1.0, 0.0), 0.5])
     assert _kernels.injection_scan(m, s_free, b_free, 1.0, np.arange(2)) == (0, 1)
+
+
+def test_serial_blas_runs_one_thread_and_restores_the_count():
+    # without OpenBLAS symbols the block only runs
+    calls = _kernels._OPENBLAS_THREADS
+    before = calls[0]() if calls else None
+    if calls:
+        calls[1](2)
+    try:
+        with pytest.raises(KeyError):
+            with _kernels.serial_blas():
+                assert calls is None or calls[0]() == 1
+                raise KeyError("the count must come back after an exception")
+        assert calls is None or calls[0]() == 2
+    finally:
+        if calls:
+            calls[1](before)
