@@ -186,7 +186,7 @@ def _write_sweep(args, column: str, rows, b_echo: dict, seeds: list[int]) -> Non
 
 
 def cmd_sweep_k(args) -> int:
-    b, b_echo = _thresholds(args, args.nodes)
+    b, b_echo = _thresholds(args, _nodes(args))
     seeds = _seed_pool(args)
     rows = experiments.sweep_rater_fraction(
         args.nodes,
@@ -204,7 +204,7 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_sweep_p(args) -> int:
-    b, b_echo = _thresholds(args, args.nodes)
+    b, b_echo = _thresholds(args, _nodes(args))
     seeds = _seed_pool(args)
     rows = experiments.sweep_edge_prob(
         args.nodes,
@@ -222,7 +222,7 @@ def cmd_sweep_p(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    b, b_echo = _thresholds(args, args.nodes)
+    b, b_echo = _thresholds(args, _nodes(args))
     seeds = _seed_pool(args)
     runs = experiments.compare_strategies(
         args.nodes,
@@ -295,7 +295,7 @@ def cmd_bounds(args) -> int:
 def cmd_cdf(args) -> int:
     edge_prob = _edge_prob(args)
     params = ModelParams(
-        mean_degree=edge_prob * args.nodes,
+        mean_degree=edge_prob * _nodes(args),
         trust=args.t,
         rating=args.rating,
         rater_fraction=args.k,

@@ -83,6 +83,8 @@ class EditingConfig:
     alpha: float = 0.5
 
     def validate(self, n_nodes: int) -> None:
+        if n_nodes < 1:
+            raise ValidationError(f"a session graph must have >= 1 node, got {n_nodes}")
         if not (0.0 < self.publish_fraction <= 1.0):
             raise ValidationError(
                 f"publish_fraction must lie in (0, 1], got {self.publish_fraction}"
@@ -247,7 +249,7 @@ def run_session(
             # polishes numerics
             warm = sv.scores.copy()
             rise = rating - warm[chosen]
-            warm[dm.free_nodes] += rise * dm.row(chosen)
+            warm[dm.free] += rise * dm.row(chosen)
             warm[chosen] = rating
             np.clip(warm, 0.0, 1.0, out=warm)
             dm = delta_promote(dm, chosen)

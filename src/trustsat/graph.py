@@ -295,9 +295,12 @@ def _parse_header(lineno: int, line: str) -> int:
     if len(parts) != 2 or parts[0].strip() != "nodes":
         raise ParseError(f"expected header 'nodes,<N>', got {line!r}", lineno)
     try:
-        return int(parts[1])
+        n = int(parts[1])
     except ValueError:
         raise ParseError(f"node count {parts[1]!r} is not an integer", lineno) from None
+    if n < 1:
+        raise ParseError(f"node count must be >= 1, got {n}", lineno)
+    return n
 
 
 def load_graph(path) -> TrustGraph:

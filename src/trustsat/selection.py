@@ -20,19 +20,21 @@ complement, which is the inverse over the remaining free nodes:
 
     M'[i, j] = M[i, j] - M[i, k] * M[k, j] / M[k, k],    M[k, k] >= 1.
 
-The table holds M in factored form over the free nodes it was built for,
+The table is indexed by node id. Its buffer ``m`` spans all n nodes, and
+the free mask ``DeltaMatrix.free`` marks the nodes whose rows and columns
+are M; the rows and columns of raters are identity at build time and are
+never read. It holds M in factored form,
 
     M = m - U V,
 
-with a dense buffer ``m`` and up to ``PENDING_RANK`` pending promotes in the
-thin factors U and V. A promote reads k's current column and row (one
-matrix-vector product each) and appends the column over the pivot to U and
-the row to V, which costs O(n r) instead of a pass over all n^2 entries;
-when the factors are full they are flushed into ``m`` by one chunked
-matmul. The candidate scan applies the pending factors to each chunk of
-rows it reads. Entries in the rows and columns of promoted nodes are left
-over (near zero) and never read. The buffer positions of the free nodes
-left are tracked in ``DeltaMatrix.pos``.
+with up to ``PENDING_RANK`` pending promotes in the thin factors U and V. A
+promote reads k's current column and row (one matrix-vector product each),
+appends the column over the pivot to U and the row to V, and clears k's
+free bit, which costs O(n r) instead of a pass over all n^2 entries; when
+the factors are full they are flushed into ``m`` by one chunked matmul. The
+candidate scan applies the pending factors to each chunk of rows it reads.
+Entries in the rows and columns of promoted nodes are left over (near zero)
+and never read.
 """
 from __future__ import annotations
 
@@ -151,20 +153,21 @@ def select_marginal_greedy(
 class DeltaMatrix:
     """Pairwise influence coefficients over the current non-raters.
 
-    The table is M = m - u[:, :rank] @ v[:rank] over the non-raters it was
-    built for: ``m`` is the buffer, and ``u`` and ``v`` hold the ``rank``
-    promotes that ``delta_promote`` has not yet flushed into it. ``pos``
-    gives the buffer position of each current non-rater in ``free_nodes``.
-    ``raters`` fingerprints the rater set the table is valid for.
+    The table is M = m - u[:, :rank] @ v[:rank], indexed by node id: ``m``
+    is the buffer, and ``u`` and ``v`` hold the ``rank`` promotes that
+    ``delta_promote`` has not yet flushed into it. ``free`` marks the
+    non-raters; the table is valid for the rater set it leaves out.
     """
 
     m: np.ndarray
-    pos: np.ndarray
-    free_nodes: np.ndarray
-    raters: np.ndarray
+    free: np.ndarray
     u: np.ndarray
     v: np.ndarray
     rank: int = 0
+
+    @property
+    def free_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.free)
 
     def pending(self) -> tuple[np.ndarray, np.ndarray]:
         """The pending factors, as views: M = m - u @ v."""
@@ -174,26 +177,27 @@ class DeltaMatrix:
     def delta(self) -> np.ndarray:
         """``delta[c, j]``: rise of free node j per unit pinned at free node
         c, as a new array over the current non-raters."""
+        f = self.free_nodes
         u, v = self.pending()
-        sub = self.m.take(self.pos, axis=0).take(self.pos, axis=1)
-        sub -= u[self.pos] @ v[:, self.pos]
+        sub = self.m.take(f, axis=0).take(f, axis=1)
+        sub -= u[f] @ v[:, f]
         return sub.T / np.diag(sub)[:, None]
 
     def position(self, node: int) -> int:
-        pos = int(np.searchsorted(self.free_nodes, node))
-        if pos >= self.free_nodes.size or self.free_nodes[pos] != node:
+        """Index of non-rater ``node`` in ``free_nodes``."""
+        if not (0 <= node < self.free.size and self.free[node]):
             raise StaleDelta(f"node {node} is not a non-rater in this table")
-        return pos
+        return int(np.count_nonzero(self.free[:node]))
 
     def row(self, node: int) -> np.ndarray:
         c = self.position(node)
-        p = self.pos[c]
+        f = self.free_nodes
         u, v = self.pending()
-        col = self.m[self.pos, p] - u[self.pos] @ v[:, p]
+        col = self.m[f, node] - u[f] @ v[:, node]
         return col / col[c]
 
     def matches(self, state: SessionState) -> bool:
-        return np.array_equal(self.raters, state.raters)
+        return np.array_equal(~self.free, state.rater_mask(self.free.size))
 
 
 def _require_half_alpha(state: SessionState) -> None:
@@ -204,28 +208,28 @@ def _require_half_alpha(state: SessionState) -> None:
 
 
 def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None) -> DeltaMatrix:
-    """Build the influence table: assemble I - W_FF densely over the
-    non-raters and invert it in place. The inverse must pass its
-    certificate M (I - W_FF) 1 = 1 to the solver tolerance; otherwise the
-    table does not exist and SingularInfluence is raised."""
+    """Build the influence table: assemble I - W densely over all nodes,
+    keeping only the edges between non-raters, and invert it in place. The
+    inverse must pass its certificate M (I - W) 1 = 1 to the solver
+    tolerance; otherwise the table does not exist and SingularInfluence is
+    raised."""
     _require_half_alpha(state)
     state.validate(g.n_nodes)
     cfg = cfg or SolverConfig()
     cfg.validate()
-    free = state.non_raters(g.n_nodes)
-    at = np.full(g.n_nodes, -1, dtype=np.int64)
-    at[free] = np.arange(free.size)
-    rows = g.out_rows()
-    src, dst = at[rows], at[g.out_indices]
-    inner = (src >= 0) & (dst >= 0)
-    m = np.eye(free.size)
-    m[src[inner], dst[inner]] = -g.half_weights[inner]
-    # (I - W_FF) 1 = 1 - sum_F t^2 / sum t, summed without cancellation: it
-    # is exactly 0 on rows whose trust is all 1 and all toward non-raters
+    n = g.n_nodes
+    free = ~state.rater_mask(n)
+    rows, dst = g.out_rows(), g.out_indices
+    inner = free[rows] & free[dst]
+    m = np.eye(n)
+    m[rows[inner], dst[inner]] = -g.half_weights[inner]
+    # (I - W) 1 = 1 - sum_F t^2 / sum t on free rows, summed without
+    # cancellation: it is exactly 0 on rows whose trust is all 1 and all
+    # toward non-raters. Rater rows are identity rows.
     t = g.out_trust
-    kept = np.bincount(rows, weights=np.where(dst >= 0, t * (1.0 - t), t), minlength=g.n_nodes)
-    total = np.bincount(rows, weights=t, minlength=g.n_nodes)
-    leak = np.divide(kept, total, out=np.ones(g.n_nodes), where=total > 0)[free]
+    kept = np.bincount(rows, weights=np.where(free[dst], t * (1.0 - t), t), minlength=n)
+    total = np.bincount(rows, weights=t, minlength=n)
+    leak = np.divide(kept, total, out=np.ones(n), where=(total > 0) & free)
     try:
         with _kernels.serial_blas():
             _kernels.invert_in_place(m)
@@ -236,23 +240,19 @@ def delta_init(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] =
         raise SingularInfluence(
             f"inverse of I - W over the non-raters fails its certificate (residual {resid:.3g})"
         )
-    u = np.empty((free.size, PENDING_RANK))
-    v = np.empty((PENDING_RANK, free.size))
-    return DeltaMatrix(m, np.arange(free.size), free, state.raters, u, v)
+    return DeltaMatrix(m, free, np.empty((n, PENDING_RANK)), np.empty((PENDING_RANK, n)))
 
 
 def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
     """Promote non-rater k: append its Schur complement update to the
-    pending factors (flushing them into the buffer when full), drop k from
-    the free set and add it to the fingerprint. Returns ``dm``, which now
-    describes the promoted rater set."""
-    c = dm.position(k)
-    p = dm.pos[c]
+    pending factors (flushing them into the buffer when full) and clear its
+    free bit. Returns ``dm``, which now describes the promoted rater set."""
+    dm.position(k)  # raises StaleDelta unless k is free
     r = dm.rank
     u, v = dm.pending()
-    col = dm.m[:, p] - u @ v[:, p]
-    dm.v[r] = dm.m[p] - u[p] @ v
-    dm.u[:, r] = col / col[p]
+    col = dm.m[:, k] - u @ v[:, k]
+    dm.v[r] = dm.m[k] - u[k] @ v
+    dm.u[:, r] = col / col[k]
     dm.rank = r + 1
     if dm.rank == PENDING_RANK:
         # row chunks of the same size bound the flush's temporaries
@@ -261,9 +261,7 @@ def delta_promote(dm: DeltaMatrix, k: int) -> DeltaMatrix:
             for lo in range(0, m.shape[0], PENDING_RANK):
                 m[lo:lo + PENDING_RANK] -= dm.u[lo:lo + PENDING_RANK] @ dm.v
         dm.rank = 0
-    dm.pos = np.delete(dm.pos, c)
-    dm.free_nodes = np.delete(dm.free_nodes, c)
-    dm.raters = np.sort(np.append(dm.raters, k))
+    dm.free[k] = False
     return dm
 
 
@@ -280,14 +278,14 @@ def marginal_greedy_fast(
     _require_half_alpha(state)
     if not dm.matches(state):
         raise StaleDelta("influence table was built for a different rater set")
-    if dm.free_nodes.size == 0:
+    free = dm.free_nodes
+    if free.size == 0:
         raise NoNonRaters("every node is already a rater")
-    s_free = s.scores[dm.free_nodes]
-    b_free = state.thresholds[dm.free_nodes]
-    u, v = dm.pending()
     with _kernels.serial_blas():
-        best_pos, _gain = _kernels.injection_scan(dm.m, s_free, b_free, float(assumed_rating), dm.pos, u=u, v=v)
-    return int(dm.free_nodes[best_pos])
+        best_pos, _gain = _kernels.injection_scan(
+            dm.m, s.scores[free], state.thresholds[free], float(assumed_rating), free, *dm.pending()
+        )
+    return int(free[best_pos])
 
 
 EXHAUSTIVE_MAX_FREE = 20

@@ -315,11 +315,33 @@ def test_config_file_supplies_required_flags(tmp_path, capsys):
     ("cdf", "--nodes", "0", "--avg-degree", "4", "--k", "0.2"),
     ("compare", "--nodes", "0", "--avg-degree", "4", "--num-seeds", "1"),
     ("bounds", "--mean-degree", "10", "--t", "0.8", "--empirical", "--nodes", "0"),
-], ids=["generate", "sweep-k", "cdf", "compare", "bounds"])
+    ("sweep-k", "--nodes", "-5", "--avg-degree", "2"),
+    ("sweep-p", "--nodes", "0", "--p-grid", "0.1", "--k", "0.1"),
+    ("sweep-p", "--nodes", "-5", "--p-grid", "0.1", "--k", "0.1"),
+    ("compare", "--nodes", "-3", "--p", "0.1"),
+    ("cdf", "--nodes", "-5", "--p", "0.1", "--k", "0.2"),
+], ids=["generate", "sweep-k", "cdf", "compare", "bounds", "sweep-k-negative", "sweep-p", "sweep-p-negative",
+        "compare-negative", "cdf-negative"])
 def test_zero_nodes_is_validation_error(tmp_path, capsys, monkeypatch, argv):
+    # the count is checked before anything is sized by it
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 3
-    assert "--nodes must be >= 1, got 0" in capsys.readouterr().err
+    assert f"--nodes must be >= 1, got {argv[argv.index('--nodes') + 1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["solve-graph", "session-graph", "solve-thresholds"])
+def test_input_file_node_count_below_one_is_validation_error(tmp_path, capsys, case):
+    gpath, bpath = tmp_path / "g.csv", tmp_path / "b.csv"
+    if case == "solve-thresholds":
+        write_path_graph(gpath)
+        bpath.write_text("nodes,-2\n")
+        argv = ("solve", "--graph", str(gpath), "--thresholds", str(bpath), "--rater-fraction", "0.5")
+    else:
+        gpath.write_text("nodes,0\n")
+        argv = {"solve-graph": ("solve", "--graph", str(gpath), "--rater-fraction", "0.5"),
+                "session-graph": ("session", "--graph", str(gpath), "--strategy", "trust")}[case]
+    assert run_cli(*argv) == 3
+    assert "node count must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("var", ["0", "-1"])

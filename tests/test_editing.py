@@ -272,6 +272,13 @@ def _check_rounds_against_oracle(g, b, log):
 
 
 @pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
+def test_session_on_empty_graph_is_validation_error(strategy):
+    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    with pytest.raises(ValidationError, match=">= 1 node, got 0"):
+        run_session(build_graph(0, []), np.zeros(0), cfg)
+
+
+@pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
 def test_session_single_node(strategy):
     g = build_graph(1, [])
     cfg = EditingConfig(strategy=SelectionStrategy(strategy))

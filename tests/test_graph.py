@@ -214,6 +214,16 @@ def test_load_graph_missing_header(tmp_path):
         load_graph(path)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_node_count_below_one_is_parse_error(tmp_path, count):
+    path = tmp_path / "in.csv"
+    path.write_text(f"nodes,{count}\n")
+    for load in (load_graph, load_thresholds):
+        with pytest.raises(ParseError, match="node count must be >= 1") as exc:
+            load(path)
+        assert exc.value.line == 1
+
+
 def test_thresholds_roundtrip(tmp_path):
     b = np.random.default_rng(0).uniform(0, 1, 30)
     path = tmp_path / "b.csv"

@@ -215,8 +215,9 @@ def test_injection_scan_chunking_and_brute_force():
         rating = float(rng.uniform(0.3, 1.0))  # candidates on both sides of it
         sub = m[np.ix_(free_pos, free_pos)]
         delta = sub.T / np.diag(sub)[:, None]
-        chunked = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=7)
-        whole = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=size)
+        u, v = np.empty((size, 0)), np.empty((0, size))  # nothing pending
+        chunked = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, u, v, chunk=7)
+        whole = _kernels.injection_scan(m, s_free, b_free, rating, free_pos, u, v, chunk=size)
         assert chunked == whole == _brute_force_scan(delta, s_free, b_free, rating)
 
 
@@ -246,8 +247,10 @@ def test_injection_scan_applies_pending_factors(rank):
         sub = current[np.ix_(free_pos, free_pos)]
         delta = sub.T / np.diag(sub)[:, None]
         expect = _brute_force_scan(delta, s_free, b_free, rating)
+        nothing_pending = (np.empty((size, 0)), np.empty((0, size)))
         for chunk in (7, size):
-            assert _kernels.injection_scan(current, s_free, b_free, rating, free_pos, chunk=chunk) == expect
+            scan = _kernels.injection_scan(current, s_free, b_free, rating, free_pos, *nothing_pending, chunk=chunk)
+            assert scan == expect
             assert _kernels.injection_scan(m, s_free, b_free, rating, free_pos, chunk=chunk, u=u, v=v) == expect
 
 
@@ -257,7 +260,7 @@ def test_injection_scan_pins_candidate_at_rating():
     m = np.diag([49.0, 1.0])
     s_free = np.zeros(2)
     b_free = np.array([np.nextafter(1.0, 0.0), 0.5])
-    assert _kernels.injection_scan(m, s_free, b_free, 1.0, np.arange(2)) == (0, 1)
+    assert _kernels.injection_scan(m, s_free, b_free, 1.0, np.arange(2), np.empty((2, 0)), np.empty((0, 2))) == (0, 1)
 
 
 def test_serial_blas_runs_one_thread_and_restores_the_count():

@@ -169,7 +169,7 @@ def test_delta_promote_chain_kills_paths_through_promoted():
     assert dm2.free_nodes.tolist() == [0, 2]
     # influence of 2 on 0 ran through 1 and is gone
     assert dm2.delta[dm2.position(2), dm2.position(0)] == pytest.approx(0.0, abs=1e-10)
-    assert dm2.raters.tolist() == [1]
+    assert dm2.free.tolist() == [True, False, True]
 
 
 def test_delta_promote_disjoint_influence_unchanged():
