@@ -293,17 +293,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    edge_prob = _edge_prob(args)
-    params = ModelParams(
-        mean_degree=edge_prob * _nodes(args),
-        trust=args.t,
-        rating=args.rating,
-        rater_fraction=args.k,
-        threshold=args.b if args.b is not None else 0.2,
-    )
-    spec = ErdosRenyiSpec(args.nodes, edge_prob, ConstantTrust(args.t), args.seed)
+    spec = ErdosRenyiSpec(_nodes(args), _edge_prob(args), ConstantTrust(args.t), args.seed)
     table = experiments.empirical_satisfaction_cdf(
-        spec, params, args.trials, _solver(args), np.random.default_rng(args.seed)
+        spec, args.k, args.rating, args.trials, _solver(args), np.random.default_rng(args.seed)
     )
     write_csv(
         args.out or sys.stdout,
@@ -377,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.0, help="satisfied fraction required to publish")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--rating", type=float, default=1.0)
-    p.add_argument("--trust-update", type=_pair, default=None, help="gamma,sharpness")
+    p.add_argument("--trust-update", type=_pair, default=None,
+                   help="gamma,sharpness; the blended graph is computed but not written out")
     p.add_argument("--alpha", type=float, default=0.5, help="rater weight in [0.5, 1]")
     _add_solver_flags(p)
 
@@ -429,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.5, help="common trust")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--rating", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=None)
     p.add_argument("--trials", type=int, default=10)
     _add_solver_flags(p)
 

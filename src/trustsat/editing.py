@@ -34,7 +34,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import SingularInfluence, TooLarge, ValidationError
+from .errors import AlphaUnsupported, SingularInfluence, TooLarge, ValidationError
 from .graph import TrustGraph, _from_edge_arrays, write_csv
 from .satisfaction import (
     SatisfactionVector,
@@ -198,7 +198,11 @@ def run_session(
 ) -> SessionLog:
     """Run one review session to publication, deadlock, or budget
     exhaustion. Deterministic for a given rng seed. Raises NotConverged
-    when the initial or a round's solve runs out of iterations."""
+    when the initial or a round's solve runs out of iterations. A marginal
+    round without an influence table calls ``delta_init``; when that raises
+    ``AlphaUnsupported`` (alpha != 0.5) or ``SingularInfluence`` (retried
+    next round, whose rater may break the closed class), the round runs the
+    re-solve greedy and logs why at debug level."""
     cfg.validate(g.n_nodes)
     solver_cfg = solver_cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -207,39 +211,31 @@ def run_session(
 
     state = SessionState({}, np.asarray(thresholds, dtype=np.float64), cfg.alpha)
     state.validate(n)
-
-    use_fast = cfg.strategy.kind == "marginal" and cfg.alpha == 0.5
+    log_obj = SessionLog(state=state, graph=g)
     dm: Optional[DeltaMatrix] = None
 
-    log_obj = SessionLog()
-    sv = solve_iterative(g, state, solver_cfg)
-    require_converged(sv, "initial session solve")
-    count, _ = satisfied_count(sv, state.thresholds)
-    fraction = count / n
+    sv = require_converged(solve_iterative(g, state, solver_cfg), "initial session solve")
+    count, satisfied = satisfied_count(sv, state.thresholds)
     warned_no_progress = False
 
-    round_no = 0
     while True:
-        if fraction >= cfg.publish_fraction:
+        if count / n >= cfg.publish_fraction:
             log_obj.status = "published"
             break
-        unsat = ~satisfied_count(sv, state.thresholds)[1]
-        if unsat.any() and not (unsat & ~state.rater_mask(n)).any():
+        if not (~satisfied & ~state.rater_mask(n)).any():
             # every unsatisfied user is a rater pinned at a rating at or
             # below their own threshold
             log_obj.status = "deadlock"
             break
-        if round_no >= max_rounds:
-            log_obj.status = "budget_exhausted"
-            break
+        round_no = len(log_obj.rounds) + 1
+        if round_no > max_rounds:
+            break  # status stays budget_exhausted
 
-        if use_fast and dm is None:
+        if cfg.strategy.kind == "marginal" and dm is None:
             try:
                 dm = delta_init(g, state, solver_cfg)
-            except SingularInfluence as exc:
-                # retried next round, when this round's rater may have
-                # broken the closed class
-                log.debug("round %d: slow path (select_marginal_greedy): %s", round_no + 1, exc)
+            except (AlphaUnsupported, SingularInfluence) as exc:
+                log.debug("round %d: slow path (select_marginal_greedy): %s", round_no, exc)
         chosen = _select(g, state, cfg, solver_cfg, rng, sv, dm)
         rating = cfg.rating_for(chosen)
 
@@ -256,20 +252,15 @@ def run_session(
 
         state.add_rater(chosen, rating)
         sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm))
-        require_converged(sv, f"session round {round_no + 1} solve")
-        count, _ = satisfied_count(sv, state.thresholds)
-        new_fraction = count / n
-        if new_fraction <= fraction and not warned_no_progress and new_fraction < cfg.publish_fraction:
-            log.debug("round %d: no satisfied-count progress (%.4f)", round_no + 1, new_fraction)
+        require_converged(sv, f"session round {round_no} solve")
+        last = count
+        count, satisfied = satisfied_count(sv, state.thresholds)
+        if count <= last and not warned_no_progress and count / n < cfg.publish_fraction:
+            log.debug("round %d: no satisfied-count progress (%.4f)", round_no, count / n)
             warned_no_progress = True
-        fraction = new_fraction
-
-        round_no += 1
-        log_obj.rounds.append(SessionRound(round_no, int(chosen), rating, count, fraction))
+        log_obj.rounds.append(SessionRound(round_no, int(chosen), rating, count, count / n))
 
     log_obj.final = sv
-    log_obj.state = state
-    log_obj.graph = g
     if cfg.trust_update is not None:
         log_obj.graph = apply_rater_trust_updates(g, state, cfg.trust_update)
     return log_obj

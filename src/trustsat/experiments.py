@@ -73,7 +73,7 @@ def _draw_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float, trust_
     )
 
 
-def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: np.ndarray,
+def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: Optional[np.ndarray],
                   cfg: Optional[SolverConfig], alpha: float = 0.5) -> SatisfactionVector:
     """Scores when every node of ``raters`` rates ``rating``. Raises
     NotConverged when the solve runs out of iterations."""
@@ -353,7 +353,8 @@ class CdfTable:
 
 def empirical_satisfaction_cdf(
     spec: ErdosRenyiSpec,
-    p: ModelParams,
+    rater_fraction: float,
+    rating: float,
     n_trials: int,
     cfg: Optional[SolverConfig] = None,
     rng: Optional[np.random.Generator] = None,
@@ -361,18 +362,19 @@ def empirical_satisfaction_cdf(
 ) -> CdfTable:
     """Monte Carlo estimate of the non-rater score distribution: generate
     graphs from per-trial seeds, pick round(k * n) raters uniformly, solve,
-    and pool the non-rater scores onto a fixed grid."""
+    and pool the non-rater scores onto a fixed grid. No threshold enters."""
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    if not 0.0 < rating <= 1.0:
+        raise ValidationError(f"rating must lie in (0, 1], got {rating}")
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
     n = spec.n_nodes
-    n_raters = rater_count(p.rater_fraction, n)
-    thresholds = _threshold_vector(p.threshold, n)
+    n_raters = rater_count(rater_fraction, n)
     pools = []
     for _ in range(n_trials):
         g = _draw_graph(rng, n, spec.edge_prob, spec.trust_dist)
         raters = rng.choice(n, size=n_raters, replace=False) if n_raters else np.empty(0, np.int64)
-        sv = _solve_raters(g, raters, p.rating, thresholds, cfg)
+        sv = _solve_raters(g, raters, rating, None, cfg)
         pools.append(np.delete(sv.scores, raters))
     samples = np.sort(np.concatenate(pools))
     if samples.size == 0:

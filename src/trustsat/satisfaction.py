@@ -41,15 +41,17 @@ class SessionState:
     """Raters with their ratings, per-node thresholds, and the rater weight.
 
     ``ratings`` maps each rater to their rating; its key set *is* the rater
-    set. Thresholds cover every node.
+    set. Thresholds cover every node; they are None in a state that is only
+    solved, never counted (the pooled score distribution).
     """
 
     ratings: Dict[int, float]
-    thresholds: np.ndarray
+    thresholds: Optional[np.ndarray]
     alpha: float = 0.5
 
     def validate(self, n_nodes: int) -> None:
-        self.thresholds = validate_thresholds(self.thresholds, n_nodes)
+        if self.thresholds is not None:
+            self.thresholds = validate_thresholds(self.thresholds, n_nodes)
         if not (0.5 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must lie in [0.5, 1], got {self.alpha}")
         for node, r in self.ratings.items():

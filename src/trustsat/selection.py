@@ -4,8 +4,11 @@ Three ways to pick the next reviewer: uniformly at random, by largest
 incoming trust from non-raters, or greedily by marginal satisfaction (the
 change in the number of satisfied users if the candidate were promoted at an
 assumed rating). The greedy has a slow path that re-solves the score system
-per candidate, and, at alpha = 0.5 where the averaging weights do not depend
-on the rater set, a fast path built on a pairwise influence table.
+per candidate, and a fast path built on a pairwise influence table. The
+table alone decides when the fast path applies: ``delta_init`` raises
+``AlphaUnsupported`` unless alpha = 0.5, where the averaging weights do not
+depend on the rater set, and ``SingularInfluence`` when M (below) does not
+exist; a session then runs the slow path for that round.
 
 The table rests on M = (I - W_FF)^-1, the inverse of the averaging weights
 among the free nodes (the non-raters). Pinning free node c at its score plus
@@ -102,27 +105,33 @@ def select_trust_greedy(g: TrustGraph, state: SessionState) -> int:
     return int(nr[np.argmax(in_sums[nr])])
 
 
+def _satisfied_with(
+    g: TrustGraph, state: SessionState, extra: tuple, rating: float, cfg: Optional[SolverConfig], what: str
+) -> int:
+    """Satisfied count after solving ``state`` with every node of ``extra``
+    added as a rater at ``rating``; raises NotConverged naming ``what``."""
+    trial = state.copy()
+    for node in extra:
+        trial.add_rater(int(node), rating)
+    sv = require_converged(solve_iterative(g, trial, cfg), what)
+    return satisfied_count(sv, state.thresholds)[0]
+
+
 def marginal_satisfaction(
     g: TrustGraph,
     state: SessionState,
     candidate: int,
     assumed_rating: float = 1.0,
     cfg: Optional[SolverConfig] = None,
-    base_count: Optional[int] = None,
 ) -> int:
     """Change in the satisfied-user count if `candidate` rated the document
     at `assumed_rating`. The input state is left untouched. Raises
     NotConverged when a solve runs out of iterations."""
     if candidate in state.ratings:
         raise ValidationError(f"candidate {candidate} is already a rater")
-    if base_count is None:
-        base = require_converged(solve_iterative(g, state, cfg), "base solve")
-        base_count, _ = satisfied_count(base, state.thresholds)
-    trial = state.copy()
-    trial.add_rater(candidate, assumed_rating)
-    sv = require_converged(solve_iterative(g, trial, cfg), f"trial solve for candidate {candidate}")
-    count, _ = satisfied_count(sv, state.thresholds)
-    return count - base_count
+    base = _satisfied_with(g, state, (), assumed_rating, cfg, "base solve")
+    what = f"trial solve for candidate {candidate}"
+    return _satisfied_with(g, state, (candidate,), assumed_rating, cfg, what) - base
 
 
 def select_marginal_greedy(
@@ -132,21 +141,16 @@ def select_marginal_greedy(
     cfg: Optional[SolverConfig] = None,
 ) -> int:
     """Non-rater with the largest marginal satisfaction, re-solving the
-    score system for every candidate. Ties go to the smallest index. Raises
-    NotConverged at the first solve that runs out of iterations."""
+    score system for every candidate. The largest count is the largest
+    gain, so the current state is never solved. Ties go to the smallest
+    index. Raises NotConverged at the first solve that runs out of
+    iterations."""
     nr = _non_raters(g, state)
-    base = require_converged(solve_iterative(g, state, cfg), "base solve")
-    base_count, _ = satisfied_count(base, state.thresholds)
-    best_node = -1
-    best_gain = None
-    for cand in nr:
-        gain = marginal_satisfaction(
-            g, state, int(cand), assumed_rating, cfg, base_count=base_count
-        )
-        if best_gain is None or gain > best_gain:
-            best_gain = gain
-            best_node = int(cand)
-    return best_node
+    counts = [
+        _satisfied_with(g, state, (c,), assumed_rating, cfg, f"trial solve for candidate {c}")
+        for c in nr.tolist()
+    ]
+    return int(nr[np.argmax(counts)])
 
 
 @dataclass
@@ -315,12 +319,8 @@ def select_optimal_exhaustive(
     best_count = -1
     for size in range(budget + 1):
         for combo in itertools.combinations(nr.tolist(), size):
-            trial = state.copy()
-            for node in combo:
-                trial.add_rater(int(node), assumed_rating)
-            sv = require_converged(solve_iterative(g, trial, cfg), f"exhaustive solve for raters {combo}")
-            count, _ = satisfied_count(sv, state.thresholds)
+            count = _satisfied_with(g, state, combo, assumed_rating, cfg, f"exhaustive solve for raters {combo}")
             if count > best_count or (count == best_count and combo < best_set):
                 best_count = count
-                best_set = tuple(int(x) for x in combo)
+                best_set = combo
     return best_set

@@ -251,7 +251,7 @@ def test_c07_mean_field_prediction():
     with criterion(7, "pooled Monte Carlo mean is within 5% of the closed form"):
         p = ModelParams(mean_degree=20.0, trust=0.5, rating=1.0, rater_fraction=0.2, threshold=0.3)
         spec = ErdosRenyiSpec(2000, 20 / 2000, ConstantTrust(0.5), 7)
-        table = empirical_satisfaction_cdf(spec, p, 20, rng=np.random.default_rng(7))
+        table = empirical_satisfaction_cdf(spec, p.rater_fraction, p.rating, 20, rng=np.random.default_rng(7))
         predicted = expected_satisfaction(p)
         assert predicted == pytest.approx(1 / 6, rel=1e-6)
         assert abs(table.sample_mean - predicted) / predicted <= 0.05

@@ -137,21 +137,21 @@ def test_community_no_root():
 
 def test_cdf_no_raters_all_zero():
     spec = ErdosRenyiSpec(200, 10 / 200, ConstantTrust(0.5), 3)
-    table = empirical_satisfaction_cdf(spec, params(rater_fraction=0.0), 3)
+    table = empirical_satisfaction_cdf(spec, 0.0, 1.0, 3)
     assert table.zero_fraction == 1.0
     assert table.cdf[-1] == 1.0
 
 
 def test_cdf_isolated_nodes_all_zero():
     spec = ErdosRenyiSpec(200, 0.0, ConstantTrust(0.5), 3)
-    table = empirical_satisfaction_cdf(spec, params(rater_fraction=0.2), 3)
+    table = empirical_satisfaction_cdf(spec, 0.2, 1.0, 3)
     assert table.zero_fraction == 1.0
 
 
 def test_cdf_mean_tracks_closed_form():
     p = params(mean_degree=20.0, trust=0.5, rating=1.0, rater_fraction=0.2)
     spec = ErdosRenyiSpec(2000, 20 / 2000, ConstantTrust(0.5), 7)
-    table = empirical_satisfaction_cdf(spec, p, 5, rng=np.random.default_rng(7))
+    table = empirical_satisfaction_cdf(spec, p.rater_fraction, p.rating, 5, rng=np.random.default_rng(7))
     predicted = expected_satisfaction(p)
     assert abs(table.sample_mean - predicted) / predicted <= 0.05
     assert table.cdf[0] <= 0.01  # nearly everyone is reachable at this density

@@ -270,6 +270,16 @@ def test_cdf_csv(tmp_path):
     assert data[-1].endswith(",1")
 
 
+def test_cdf_takes_no_threshold(tmp_path):
+    # the pooled scores are never compared with a threshold, so any rating
+    # in (0, 1] is valid and --b is an unknown flag
+    argv = ("cdf", "--nodes", "50", "--avg-degree", "4", "--k", "0.2", "--trials", "1")
+    assert run_cli(*argv, "--rating", "0.15", "-o", str(tmp_path / "cdf.csv")) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--b", "0.3")
+    assert exc.value.code == 2
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("nodes = 80\navg-degree = 4\nseed = 5\n")

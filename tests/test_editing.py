@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -370,6 +371,57 @@ def test_session_marginal_fast_and_slow_agree():
         slow.append((node, satisfied_count(solve_iterative(g, state, solver), b)[0]))
     assert [(r.rater, r.satisfied) for r in fast.rounds] == slow
     assert fast.status == "published" and slow[-1][1] == 35
+
+
+def _pinned_instance():
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, n=14, lam=3.0, trust=0.5)
+    b = np.round(rng.uniform(0.1, 0.4, 14), 2)
+    return g, b, np.round(rng.uniform(0.2, 1.0, 14), 2)
+
+
+# (round, rater, rating, satisfied) per round and the status of one seeded
+# session per strategy; constant trust makes the trust greedy break ties
+PINNED_SESSIONS = {
+    ("random", 0.5): ("deadlock", [
+        (1, 11, 0.58, 1), (2, 1, 0.43, 2), (3, 3, 0.76, 4), (4, 4, 0.43, 5), (5, 2, 0.72, 6), (6, 12, 0.82, 9),
+        (7, 10, 0.67, 11), (8, 8, 0.45, 11), (9, 0, 0.97, 11), (10, 5, 0.2, 11), (11, 7, 0.44, 12),
+        (12, 9, 0.91, 13)]),
+    ("trust", 0.5): ("deadlock", [
+        (1, 11, 0.58, 1), (2, 1, 0.43, 2), (3, 3, 0.76, 4), (4, 6, 0.98, 7), (5, 12, 0.82, 12), (6, 2, 0.72, 12),
+        (7, 13, 0.22, 12), (8, 4, 0.43, 13)]),
+    ("marginal", 0.5): ("published", [
+        (1, 1, 0.43, 1), (2, 3, 0.76, 3), (3, 7, 0.44, 4), (4, 6, 0.98, 8), (5, 12, 0.82, 12), (6, 2, 0.72, 12),
+        (7, 4, 0.43, 13), (8, 9, 0.91, 14)]),
+    ("marginal", 0.75): ("published", [
+        (1, 11, 0.58, 2), (2, 1, 0.43, 4), (3, 6, 0.98, 10), (4, 2, 0.72, 11), (5, 0, 0.97, 12), (6, 3, 0.76, 13),
+        (7, 4, 0.43, 14)]),
+}
+
+
+@pytest.mark.parametrize("kind,alpha", list(PINNED_SESSIONS))
+def test_seeded_session_is_pinned(kind, alpha):
+    g, b, ratings = _pinned_instance()
+    cfg = EditingConfig(strategy=SelectionStrategy(kind), rating_source=ratings, alpha=alpha)
+    log = run_session(g, b, cfg, rng=np.random.default_rng(3))
+    assert (log.status, [(r.round, r.rater, r.rating, r.satisfied) for r in log.rounds]) == PINNED_SESSIONS[kind, alpha]
+
+
+def test_marginal_session_off_half_alpha_runs_the_resolve_greedy(caplog):
+    g, b, ratings = _pinned_instance()
+    cfg = EditingConfig(strategy=SelectionStrategy("marginal"), rating_source=ratings, alpha=0.75)
+    with caplog.at_level(logging.DEBUG, logger="trustsat.editing"):
+        log = run_session(g, b, cfg)
+    slow = [r.getMessage() for r in caplog.records if "slow path" in r.getMessage()]
+    assert len(slow) == len(log.rounds) > 0
+    assert all(f"round {i}: slow path" in m and "alpha = 0.5" in m and "0.75" in m for i, m in enumerate(slow, 1))
+    state = SessionState({}, b, alpha=0.75)
+    by_hand = []
+    for _ in log.rounds:
+        node = select_marginal_greedy(g, state, 1.0)
+        state.add_rater(node, float(ratings[node]))
+        by_hand.append(node)
+    assert [r.rater for r in log.rounds] == by_hand
 
 
 def test_marginal_session_over_cap_raises_before_round_one(monkeypatch):

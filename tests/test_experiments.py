@@ -95,9 +95,8 @@ def test_unconverged_solve_fails_loud():
     with pytest.raises(NotConverged):
         empirical_k_for_target(200, 8 / 200, ConstantTrust(0.8), 0.2, 1.0, 0.5, [0], one_sweep)
     spec = ErdosRenyiSpec(200, 8 / 200, ConstantTrust(0.5), 3)
-    p = ModelParams(mean_degree=8.0, trust=0.5, rating=1.0, rater_fraction=0.2, threshold=0.2)
     with pytest.raises(NotConverged):
-        empirical_satisfaction_cdf(spec, p, 2, one_sweep)
+        empirical_satisfaction_cdf(spec, 0.2, 1.0, 2, one_sweep)
 
 
 def test_compare_strategies_orders_medians():
