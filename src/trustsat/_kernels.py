@@ -1,9 +1,8 @@
 """Hot numeric kernels, vectorised with numpy.
 
 Graphs arrive as raw CSR arrays (indptr, indices, per-edge values). Every
-kernel that walks a subset of rows gathers their edges with ``row_edges``,
-which keeps CSR order, so sums accumulate in the same order as a plain
-row-by-row loop.
+kernel that sums over a row's edges adds them in CSR order, the order of a
+plain row-by-row loop.
 """
 from __future__ import annotations
 
@@ -31,6 +30,17 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 # at most one, so a sweep maps scores in [0, 1] into [0, 1]; g caps its
 # output at 1 to drop the rounding of a row whose weights sum to one (a
 # trust-1 row next to raters at 1 can otherwise sum to 1 + 2^-52).
+#
+# A sweep sums rows in a jagged-diagonal layout built once per solve. The
+# `update` rows are ordered by descending out-degree (a stable sort, so ties
+# keep node order), and their edges are laid out slot by slot: slot j holds
+# the j-th edge of every row with more than j edges, and those rows are a
+# prefix of the ordered rows. A sweep gathers and multiplies all edges at
+# once, adds each slot in place into a prefix of one zeroed accumulator and
+# scatters the sums back to `update` order. Each row thus adds its products
+# to 0.0 one at a time in CSR order, the order of a row-by-row loop, so its
+# sum is that loop's sum bit for bit; a row with no edges sums to 0.
+#
 # Type-II Anderson acceleration mixes the next iterate from the last
 # `window` steps: with residuals f = g(x) - x and their differences dF, dG
 # of f and g(x) between steps,
@@ -41,20 +51,34 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 # non-finite mix takes the plain step x <- g(x), and window = 0 is the plain
 # sweep throughout. The solve stops when one sweep moves no updated
 # coordinate by more than `tol` and leaves that sweep's output in `scores`;
-# iterations count sweeps. Returns (iterations, last_max_change, converged).
+# iterations count sweeps, and `max_iters` must be at least 1. Returns
+# (iterations, last_max_change, converged).
 # --------------------------------------------------------------------------
 
 ANDERSON_WINDOW = 5
 
 
 def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, window=ANDERSON_WINDOW):
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n_upd = update.shape[0]
     if n_upd == 0:
         return 0, 0.0, True
-    offs, counts = row_edges(indptr, update)
+    starts = indptr[update]
+    deg = indptr[update + 1] - starts
+    order = np.argsort(-deg, kind="stable")
+    starts, deg = starts[order], deg[order]
+    widths = n_upd - np.cumsum(np.bincount(deg))[:-1]  # rows in each slot
+    firsts = np.cumsum(widths) - widths  # each slot's first position
+    edge_slot = np.repeat(np.arange(widths.size), widths)
+    offs = starts[np.arange(edge_slot.size) - np.repeat(firsts, widths)] + edge_slot
     sub_idx = indices[offs]
     sub_w = weights[offs]
-    sub_pos = np.repeat(np.arange(n_upd, dtype=np.int64), counts)
+    prod = np.empty(offs.size)
+    acc = np.empty(n_upd)
+    slots = [(acc[:w], prod[f:f + w]) for w, f in zip(widths.tolist(), firsts.tolist())]
+    back = np.empty_like(order)  # accumulator position of each update row
+    back[order] = np.arange(n_upd)
     d_f = np.empty((window, n_upd))  # ring buffers: step differences of f and g(x)
     d_g = np.empty((window, n_upd))
     gram = np.empty((window, window))  # d_f d_f^T, one row and column per step
@@ -64,7 +88,13 @@ def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, w
     converged = False
     while it < max_iters:
         it += 1
-        gx = np.bincount(sub_pos, weights=sub_w * scores[sub_idx], minlength=n_upd)
+        # mode "raise" would copy through a buffer; no index is out of range
+        np.take(scores, sub_idx, out=prod, mode="clip")
+        np.multiply(prod, sub_w, out=prod)
+        acc.fill(0.0)
+        for acc_rows, slot_prod in slots:
+            acc_rows += slot_prod
+        gx = acc[back]
         np.minimum(gx, 1.0, out=gx)
         f = gx - x
         resid = float(np.max(np.abs(f)))

@@ -184,8 +184,11 @@ def _from_edge_arrays(n_nodes: int, src: np.ndarray, dst: np.ndarray, trust: np.
 
     in_indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=n_nodes), out=in_indptr[1:])
-    # src ascends, so a stable sort by dst alone gives (dst, src) order
-    in_indices = src[np.argsort(dst, kind="stable")]
+    # src ascends, so a stable sort by dst alone gives (dst, src) order. The
+    # keys are sorted in the smallest unsigned type that holds every node id:
+    # numpy radix-sorts 8- and 16-bit keys (graphs of up to 65536 nodes),
+    # and a stable sort's order does not depend on the key type.
+    in_indices = src[np.argsort(dst.astype(np.min_scalar_type(max(n_nodes - 1, 0))), kind="stable")]
     return TrustGraph(n_nodes, out_indptr, dst, trust, half_weights, in_indptr, in_indices)
 
 

@@ -85,6 +85,14 @@ def _lexsort_csr(n, src, dst, trust):
     return out_indptr, dst, trust, in_indptr, src[np.lexsort((src, dst))]
 
 
+def _assert_csr_matches_lexsort(n, src, dst, trust):
+    built = _from_edge_arrays(n, src, dst, trust)
+    got = (built.out_indptr, built.out_indices, built.out_trust, built.in_indptr, built.in_indices)
+    for a, b in zip(got, _lexsort_csr(n, src, dst, trust)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return built
+
+
 def test_csr_build_matches_lexsort_reference_on_shuffled_edges():
     rng = np.random.default_rng(23)
     for n in [1, 2, 2, 3] + [int(x) for x in rng.integers(2, 60, size=40)]:
@@ -94,11 +102,24 @@ def test_csr_build_matches_lexsort_reference_on_shuffled_edges():
         src, dst, trust = g.edge_arrays()
         shuffle = rng.permutation(src.size)
         src, dst, trust = src[shuffle], dst[shuffle], trust[shuffle]
-        built = _from_edge_arrays(n, src, dst, trust)
-        got = (built.out_indptr, built.out_indices, built.out_trust, built.in_indptr, built.in_indices)
-        for a, b in zip(got, _lexsort_csr(n, src, dst, trust)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert built == g
+        assert _assert_csr_matches_lexsort(n, src, dst, trust) == g
+
+
+@pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+def test_csr_build_at_the_transpose_key_type_boundaries(n):
+    # the transpose sorts its keys as uint8 up to 256 nodes, uint16 up to
+    # 65536 and uint32 above; edges at nodes 0, n - 2 and n - 1 reach the
+    # largest key of each type
+    rng = np.random.default_rng(n)
+    ends = [0, n - 2, n - 1]
+    pairs = {(a, b) for a in ends for b in ends if a != b}
+    pairs |= {(int(a), int(b)) for a, b in rng.integers(0, n, size=(3000, 2)) if a != b}
+    pairs |= {(a, int(b)) for a in ends for b in rng.integers(0, n, size=20) if a != b}
+    pairs |= {(int(a), b) for b in ends for a in rng.integers(0, n, size=20) if a != b}
+    src, dst = np.array(sorted(pairs), dtype=np.int64).T
+    trust = rng.uniform(0.05, 1.0, src.size)
+    shuffle = rng.permutation(src.size)
+    _assert_csr_matches_lexsort(n, src[shuffle], dst[shuffle], trust[shuffle])
 
 
 def test_half_weights_equal_compute_weights_on_non_rater_rows():

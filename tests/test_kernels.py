@@ -1,6 +1,7 @@
 """The numpy kernels against independent oracles: a plain-Python sweep, a
 breadth-first search, numpy's dense inverse, per-column iterative solves
 and brute-force counting."""
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -60,6 +61,73 @@ def test_propagate_matches_python_loop_bitwise(seed, max_iters):
     assert out == tuple(ref)
     assert monotone  # zero start below the fixed point rises monotonically
     assert np.array_equal(s_np, s_py)
+
+
+def _shape(name):
+    """A graph, the rows to update and start scores (raters at random
+    ratings, updated rows at zero) for one row-degree pattern."""
+    rng = np.random.default_rng(41)
+    if name == "hub":  # node 0 trusts every other node; the rest have 1-3 edges
+        n = 400
+        edges = {(0, j) for j in range(1, n)}
+        edges |= {(i, (i + d) % n) for i in range(1, n) for d in range(1, int(rng.integers(2, 5)))}
+    elif name == "equal_degree":  # every row has 3 edges
+        n = 90
+        edges = {(i, (i + d) % n) for i in range(n) for d in (1, 2, 3)}
+    elif name == "degree_one":  # a cycle
+        n = 50
+        edges = {(i, (i + 1) % n) for i in range(n)}
+    else:  # "edgeless_row", "one_row": a random graph in which node 5 trusts nobody
+        n = 60
+        edges = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(240, 2)) if a != b and a != 5}
+    g = build_graph(n, [(a, b, float(rng.uniform(0.05, 1.0))) for a, b in sorted(edges)])
+    raters = 6 + rng.choice(n - 6, size=n // 5, replace=False)  # nodes 0 and 5 are updated
+    scores = np.zeros(n)
+    scores[raters] = rng.uniform(0.0, 1.0, raters.size)
+    update = np.setdiff1d(np.arange(n), raters)
+    if name == "one_row":  # the non-rater with the most edges
+        update = update[[int(np.argmax(g.out_degrees()[update]))]]
+    return g, update.astype(np.int64), scores
+
+
+@pytest.mark.parametrize("name", ["hub", "equal_degree", "degree_one", "edgeless_row", "one_row"])
+@pytest.mark.parametrize("max_iters", [1, 3, 5000])
+def test_propagate_row_sums_bitwise_on_degree_patterns(name, max_iters):
+    g, update, s0 = _shape(name)
+    args = (g.out_indptr, g.out_indices, g.half_weights, update)
+    if name == "edgeless_row":
+        s0[5] = 0.5  # a row with no edges sums to 0 on the first sweep
+    s_np, s_py = s0.copy(), s0.copy()
+    out = _kernels.propagate_scores(*args, s_np, 1e-10, max_iters, window=0)
+    assert out == tuple(_python_sweeps(*args, s_py, 1e-10, max_iters)[:3])
+    assert s_np.tobytes() == s_py.tobytes()
+    if name == "edgeless_row":
+        assert s_np[5] == 0.0
+
+
+def test_propagate_accelerated_solve_is_pinned():
+    # one accelerated solve on G(2000, 10/2000): its sweep count, residual
+    # and score bytes pin the row-sum order and the Anderson mix together
+    rng = np.random.default_rng(2000)
+    g = random_graph(rng, n=2000, lam=10.0, trust=(0.05, 0.95))
+    state = random_state(rng, g.n_nodes, k=0.1)
+    w = compute_weights(g, state)
+    update = np.flatnonzero(reachability_mask(g, state.raters) & ~state.rater_mask(g.n_nodes)).astype(np.int64)
+    s = state.rating_vector(g.n_nodes)
+    out = _kernels.propagate_scores(g.out_indptr, g.out_indices, w, update, s, 1e-10, 5000)
+    assert (g.n_edges, update.size) == (20021, 1800)
+    assert out == (20, float.fromhex("0x1.2119040000000p-35"), True)
+    assert hashlib.sha256(s.tobytes()).hexdigest() == (
+        "0f1e386e1846dc17b19f231e88fdf82409f7798300837f54e5e77ab91c3192c4"
+    )
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_propagate_rejects_budget_below_one(max_iters):
+    g, w, update, s0 = _instance(5)
+    assert update.size
+    with pytest.raises(ValueError, match="max_iters"):
+        _kernels.propagate_scores(g.out_indptr, g.out_indices, w, update, s0.copy(), 1e-10, max_iters)
 
 
 @pytest.mark.parametrize("failure", ["raise", "nan"])
