@@ -30,8 +30,10 @@ from .graph import (
     save_graph,
     write_csv,
 )
-from .satisfaction import SessionState, SolverConfig, satisfied_count, solve_iterative
-from .selection import SelectionStrategy
+from .satisfaction import DEFAULT_TOLERANCE, SessionState, SolverConfig, satisfied_count, solve_iterative
+from .selection import STRATEGY_KINDS, SelectionStrategy
+
+DEFAULT_THRESHOLD = 0.2
 
 
 def _seed(text: str) -> int:
@@ -102,7 +104,7 @@ def _thresholds(args, n: int):
         rng = np.random.default_rng(args.seed)
         b, got_mean, got_var = experiments.truncated_normal_thresholds(n, rng, mean, var)
         return b, {"b_truncnorm": f"mean={mean},var={var}", "b_achieved_mean": f"{got_mean:.6g}", "b_achieved_var": f"{got_var:.6g}"}
-    b = args.b if args.b is not None else 0.2
+    b = args.b if args.b is not None else DEFAULT_THRESHOLD
     return np.full(n, b), {"b": b}
 
 
@@ -148,7 +150,7 @@ def cmd_solve(args) -> int:
     else:
         n_r = experiments.rater_count(args.rater_fraction, g.n_nodes)
         chosen = np.random.default_rng(args.seed).permutation(g.n_nodes)[:n_r]
-        ratings = {int(i): args.rating for i in chosen}
+        ratings = dict.fromkeys(chosen.tolist(), args.rating)
     state = SessionState(ratings, b, args.alpha)
     sv = solve_iterative(g, state, _solver(args))
     count, mask = satisfied_count(sv, b)
@@ -258,7 +260,7 @@ def cmd_bounds(args) -> int:
         trust=args.t,
         rating=args.rating,
         rater_fraction=0.0,
-        threshold=args.b if args.b is not None else 0.2,
+        threshold=args.b if args.b is not None else DEFAULT_THRESHOLD,
     )
     empirical = None
     if args.empirical:
@@ -308,7 +310,7 @@ def cmd_cdf(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--max-iters", type=int, default=None)
 
 
@@ -325,7 +327,7 @@ def _add_trust_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser, truncnorm: bool = False) -> None:
-    p.add_argument("--b", type=float, default=None, help="constant threshold (default 0.2)")
+    p.add_argument("--b", type=float, default=None, help=f"constant threshold (default {DEFAULT_THRESHOLD})")
     p.add_argument("--thresholds", default=None, help="per-node threshold file")
     if truncnorm:
         p.add_argument("--b-truncnorm", type=_pair, default=None, help="mean,var of truncated normal thresholds")
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("session", cmd_session, "run one collaborative review session")
     p.add_argument("--graph", required=True)
     _add_threshold_flags(p)
-    p.add_argument("--strategy", choices=("random", "trust", "marginal"), default="random")
+    p.add_argument("--strategy", choices=STRATEGY_KINDS, default="random")
     p.add_argument("--eta", type=float, default=1.0, help="satisfied fraction required to publish")
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--rating", type=float, default=1.0)
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trust_flags(p)
     _add_threshold_flags(p, truncnorm=True)
     p.add_argument("--rating", type=float, default=1.0)
-    p.add_argument("--strategies", type=lambda s: s.split(","), default=["random", "trust", "marginal"])
+    p.add_argument("--strategies", type=lambda s: s.split(","), default=list(STRATEGY_KINDS))
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--max-rounds", type=int, default=None)
     _add_seed_pool_flags(p)

@@ -158,8 +158,7 @@ def apply_rater_trust_updates(
     are untouched, so satisfaction scores are unchanged."""
     if len(state.ratings) < 2:
         return g
-    raters = np.fromiter(state.ratings.keys(), dtype=np.int64)
-    ratings = np.fromiter(state.ratings.values(), dtype=np.float64)
+    raters, ratings = state.rater_arrays()
     pos = np.full(g.n_nodes, -1, dtype=np.int64)
     pos[raters] = np.arange(raters.size)
     src, dst, trust = g.edge_arrays()

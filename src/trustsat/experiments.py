@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
 from .satisfaction import (SatisfactionVector, SessionState, SolverConfig, require_converged, satisfied_count,
                            solve_iterative)
-from .selection import SelectionStrategy
+from .selection import STRATEGY_KINDS, SelectionStrategy
 
 
 def _check_grid(grid: Sequence[float], name: str) -> np.ndarray:
@@ -77,7 +77,7 @@ def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: 
                   cfg: Optional[SolverConfig], alpha: float = 0.5) -> SatisfactionVector:
     """Scores when every node of ``raters`` rates ``rating``. Raises
     NotConverged when the solve runs out of iterations."""
-    sv = solve_iterative(g, SessionState({int(i): rating for i in raters}, thresholds, alpha), cfg)
+    sv = solve_iterative(g, SessionState(dict.fromkeys(raters.tolist(), rating), thresholds, alpha), cfg)
     return require_converged(sv, f"solve with {len(raters)} raters on {g.n_nodes} nodes")
 
 
@@ -167,7 +167,7 @@ def compare_strategies(
     thresholds: np.ndarray | float,
     rating: float,
     seeds: Sequence[int],
-    strategies: Iterable[str] = ("random", "trust", "marginal"),
+    strategies: Iterable[str] = STRATEGY_KINDS,
     cfg: Optional[SolverConfig] = None,
     publish_fraction: float = 1.0,
     max_rounds: Optional[int] = None,

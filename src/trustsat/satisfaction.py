@@ -49,35 +49,43 @@ class SessionState:
     thresholds: Optional[np.ndarray]
     alpha: float = 0.5
 
-    def validate(self, n_nodes: int) -> None:
+    def validate(self, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Check the state against an ``n_nodes`` graph; returns the
+        ``rater_arrays()`` it checked."""
         if self.thresholds is not None:
             self.thresholds = validate_thresholds(self.thresholds, n_nodes)
         if not (0.5 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must lie in [0.5, 1], got {self.alpha}")
-        for node, r in self.ratings.items():
-            if not 0 <= node < n_nodes:
-                raise ValidationError(f"rater {node} outside [0, {n_nodes})")
-            if not (0.0 <= r <= 1.0):
-                raise ValidationError(f"rating {r} for node {node} must lie in [0, 1]")
+        nodes, ratings = self.rater_arrays()
+        outside = (nodes < 0) | (nodes >= n_nodes)
+        bad = np.flatnonzero(outside | ~((ratings >= 0.0) & (ratings <= 1.0)))[:1]
+        if outside[bad].any():
+            raise ValidationError(f"rater {nodes[bad[0]]} outside [0, {n_nodes})")
+        if bad.size:
+            raise ValidationError(f"rating {ratings[bad[0]]} for node {nodes[bad[0]]} must lie in [0, 1]")
+        return nodes, ratings
 
-    @property
-    def raters(self) -> np.ndarray:
-        return np.array(sorted(self.ratings), dtype=np.int64)
+    def rater_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The raters and their ratings as (int64 ids, float64 ratings), in
+        insertion order; ValidationError unless every id is an integer and
+        every rating a number."""
+        nodes, ratings = np.array(list(self.ratings)), np.array(list(self.ratings.values()))
+        if self.ratings and (nodes.dtype.kind not in "iu" or ratings.dtype.kind not in "biuf"):
+            raise ValidationError(
+                f"rater ids must be integers and ratings numbers, got {nodes.dtype} and {ratings.dtype}"
+            )
+        return nodes.astype(np.int64, copy=False), ratings.astype(np.float64, copy=False)
 
     def rater_mask(self, n_nodes: int) -> np.ndarray:
         mask = np.zeros(n_nodes, dtype=bool)
-        if self.ratings:
-            mask[list(self.ratings)] = True
+        mask[self.rater_arrays()[0]] = True
         return mask
 
     def rating_vector(self, n_nodes: int) -> np.ndarray:
         vec = np.zeros(n_nodes)
-        for node, r in self.ratings.items():
-            vec[node] = r
+        nodes, ratings = self.rater_arrays()
+        vec[nodes] = ratings
         return vec
-
-    def non_raters(self, n_nodes: int) -> np.ndarray:
-        return np.flatnonzero(~self.rater_mask(n_nodes)).astype(np.int64)
 
     def add_rater(self, node: int, rating: float) -> None:
         self.ratings[node] = float(rating)
@@ -154,7 +162,7 @@ def reachability_mask(g: TrustGraph, raters: Sequence[int]) -> np.ndarray:
     return _kernels.reachable_mask(g.in_indptr, g.in_indices, sources, g.n_nodes)
 
 
-def _initial_scores(g, state, cfg, mask):
+def _initial_scores(g, cfg, mask):
     n = g.n_nodes
     if cfg.warm_start is None:
         s = np.zeros(n)
@@ -165,8 +173,6 @@ def _initial_scores(g, state, cfg, mask):
         if not np.all((s >= 0.0) & (s <= 1.0)):
             raise ValidationError("warm start scores must lie in [0, 1]")
         s[~mask] = 0.0
-    for node, r in state.ratings.items():
-        s[node] = r
     return s
 
 
@@ -182,16 +188,13 @@ def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConf
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    state.validate(g.n_nodes)
+    nodes, ratings = state.validate(g.n_nodes)
     n = g.n_nodes
-
-    if not state.ratings:
-        return SatisfactionVector(np.zeros(n), 0, 0.0, True)
-
     rater = state.rater_mask(n)
-    mask = reachability_mask(g, state.raters)
+    mask = reachability_mask(g, nodes)
     weights = g.half_weights if state.alpha == 0.5 else compute_weights(g, state)
-    s = _initial_scores(g, state, cfg, mask)
+    s = _initial_scores(g, cfg, mask)
+    s[nodes] = ratings
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
 
     iters, resid, converged = _kernels.propagate_scores(
@@ -224,16 +227,11 @@ def solve_dense_oracle(g: TrustGraph, state: SessionState) -> SatisfactionVector
         raise TooLarge(f"dense oracle limited to {DENSE_ORACLE_LIMIT} nodes, got {g.n_nodes}")
     state.validate(g.n_nodes)
     n = g.n_nodes
-
-    if not state.ratings:
-        return SatisfactionVector(np.zeros(n), 0, 0.0, True)
-
     rater = state.rater_mask(n)
     ratings = state.rating_vector(n)
-    mask = reachability_mask(g, state.raters)
+    mask = reachability_mask(g, np.flatnonzero(rater))
     free = np.flatnonzero(mask & ~rater)
-    s = np.zeros(n)
-    s[rater] = ratings[rater]
+    s = ratings.copy()
     if free.size == 0:
         return SatisfactionVector(s, 0, 0.0, True)
 

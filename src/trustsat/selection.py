@@ -62,7 +62,7 @@ from .satisfaction import (
 STRATEGY_KINDS = ("random", "trust", "marginal")
 
 # Node limit of marginal sessions: the influence table holds n^2 floats, and
-# the re-solve greedy costs n_free + 1 full solves per round in its place.
+# the re-solve greedy costs n_free full solves per round in its place.
 DELTA_FAST_PATH_CAP = 5000
 
 # Pending promotes held in the factors of the influence table before they
@@ -82,8 +82,8 @@ class SelectionStrategy:
             raise ValidationError(f"assumed rating must lie in (0, 1], got {self.assumed_rating}")
 
 
-def _non_raters(g: TrustGraph, state: SessionState) -> np.ndarray:
-    nr = state.non_raters(g.n_nodes)
+def _non_raters(rater: np.ndarray) -> np.ndarray:
+    nr = np.flatnonzero(~rater)
     if nr.size == 0:
         raise NoNonRaters("every node is already a rater")
     return nr
@@ -91,15 +91,15 @@ def _non_raters(g: TrustGraph, state: SessionState) -> np.ndarray:
 
 def select_random(g: TrustGraph, state: SessionState, rng: np.random.Generator) -> int:
     """Uniform choice among current non-raters."""
-    nr = _non_raters(g, state)
+    nr = _non_raters(state.rater_mask(g.n_nodes))
     return int(nr[rng.integers(nr.size)])
 
 
 def select_trust_greedy(g: TrustGraph, state: SessionState) -> int:
     """Non-rater with the largest summed incoming trust from non-raters;
     ties go to the smallest node index."""
-    nr = _non_raters(g, state)
     rater = state.rater_mask(g.n_nodes)
+    nr = _non_raters(rater)
     contrib = np.where(rater[g.out_rows()], 0.0, g.out_trust)
     in_sums = np.bincount(g.out_indices, weights=contrib, minlength=g.n_nodes)
     return int(nr[np.argmax(in_sums[nr])])
@@ -145,7 +145,7 @@ def select_marginal_greedy(
     gain, so the current state is never solved. Ties go to the smallest
     index. Raises NotConverged at the first solve that runs out of
     iterations."""
-    nr = _non_raters(g, state)
+    nr = _non_raters(state.rater_mask(g.n_nodes))
     counts = [
         _satisfied_with(g, state, (c,), assumed_rating, cfg, f"trial solve for candidate {c}")
         for c in nr.tolist()
@@ -307,7 +307,7 @@ def select_optimal_exhaustive(
     oracle only; guarded against combinatorial blowup. Ties break
     lexicographically on the sorted node tuple. Raises NotConverged at the
     first solve that runs out of iterations."""
-    nr = state.non_raters(g.n_nodes)
+    nr = np.flatnonzero(~state.rater_mask(g.n_nodes))
     if nr.size > EXHAUSTIVE_MAX_FREE or budget > EXHAUSTIVE_MAX_BUDGET:
         raise TooLarge(
             f"exhaustive search guarded to {EXHAUSTIVE_MAX_FREE} non-raters "

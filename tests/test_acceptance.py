@@ -121,14 +121,14 @@ def test_c03_property_suite():
     with criterion(3, f"no-trust-path scores are exactly zero on {cases} instances"):
         for _, g, state in _property_cases(33):
             s = solve_iterative(g, state).scores
-            mask = reachability_mask(g, state.raters)
+            mask = reachability_mask(g, np.flatnonzero(state.rater_mask(g.n_nodes)))
             assert np.all(s[~mask] == 0.0)
 
     with criterion(3, f"deleting a rater-rater edge changes nothing on {cases} instances"):
         for rng, g, state in _property_cases(34):
             if len(state.ratings) < 2:
-                state.add_rater(int(state.non_raters(g.n_nodes)[0]), 0.5)
-            raters = state.raters
+                state.add_rater(int(np.flatnonzero(~state.rater_mask(g.n_nodes))[0]), 0.5)
+            raters = np.flatnonzero(state.rater_mask(g.n_nodes))
             i, j = int(raters[0]), int(raters[1])
             src, dst, tr = g.edge_arrays()
             edges = list(zip(src.tolist(), dst.tolist(), tr.tolist()))

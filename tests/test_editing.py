@@ -457,7 +457,7 @@ def test_session_with_trust_updates_runs_and_persists():
     )
     log = run_session(g, np.full(30, 0.2), cfg)
     assert log.status == "published"
-    raters = log.state.raters
+    raters = np.flatnonzero(log.state.rater_mask(g.n_nodes))
     if raters.size >= 2:
         i, j = int(raters[0]), int(raters[1])
         # equal ratings leave every rater pair fully agreeing

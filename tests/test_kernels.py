@@ -19,7 +19,7 @@ def _instance(seed):
     state = random_state(rng, g.n_nodes, k=(0.05, 0.3))
     w = compute_weights(g, state)
     rater = state.rater_mask(g.n_nodes)
-    mask = reachability_mask(g, state.raters)
+    mask = reachability_mask(g, np.flatnonzero(rater))
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
     s0 = state.rating_vector(g.n_nodes)
     return g, w, update, s0
@@ -112,7 +112,8 @@ def test_propagate_accelerated_solve_is_pinned():
     g = random_graph(rng, n=2000, lam=10.0, trust=(0.05, 0.95))
     state = random_state(rng, g.n_nodes, k=0.1)
     w = compute_weights(g, state)
-    update = np.flatnonzero(reachability_mask(g, state.raters) & ~state.rater_mask(g.n_nodes)).astype(np.int64)
+    rater = state.rater_mask(g.n_nodes)
+    update = np.flatnonzero(reachability_mask(g, np.flatnonzero(rater)) & ~rater).astype(np.int64)
     s = state.rating_vector(g.n_nodes)
     out = _kernels.propagate_scores(g.out_indptr, g.out_indices, w, update, s, 1e-10, 5000)
     assert (g.n_edges, update.size) == (20021, 1800)
@@ -248,7 +249,7 @@ def test_influence_matches_dense_inverse(seed):
     g = random_graph(rng, n=40, lam=4.0, trust=(0.05, 0.95))
     state = random_state(rng, g.n_nodes, k=(0.1, 0.2))
     w = compute_weights(g, state)
-    free = state.non_raters(g.n_nodes)
+    free = np.flatnonzero(~state.rater_mask(g.n_nodes))
     dm = delta_init(g, state, SolverConfig(tolerance=1e-12))
     assert dm.free_nodes.tolist() == free.tolist()
     expect = _influence_columns(g, w, free, 1e-13, 10000)

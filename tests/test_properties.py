@@ -73,7 +73,7 @@ def test_conservative_band(inst):
 def test_unreached_nodes_are_exactly_zero(inst):
     g, state = inst
     sv = solve_iterative(g, state)
-    mask = reachability_mask(g, state.raters)
+    mask = reachability_mask(g, np.flatnonzero(state.rater_mask(g.n_nodes)))
     assert np.all(sv.scores[~mask] == 0.0)
     # and reached non-raters got their score from somewhere real
     rater = state.rater_mask(g.n_nodes)
@@ -96,7 +96,7 @@ def test_alpha_monotone_under_common_rating_and_trust(inst, alpha_hi):
 def test_promotion_never_lowers_scores_at_half_alpha(inst, bump):
     g, state = inst
     sv = solve_iterative(g, state)
-    free = state.non_raters(g.n_nodes)
+    free = np.flatnonzero(~state.rater_mask(g.n_nodes))
     if free.size == 0:
         return
     cand = int(free[0])
@@ -141,7 +141,7 @@ def test_rater_rater_edge_deletion_is_invisible():
     while checked < 15:
         g = random_graph(rng, n_range=(10, 40), lam_range=(2, 6))
         state = random_state(rng, g.n_nodes, k=(0.2, 0.4), min_raters=2)
-        raters = state.raters
+        raters = np.flatnonzero(state.rater_mask(g.n_nodes))
         src, dst, trust = g.edge_arrays()
         edges = list(zip(src.tolist(), dst.tolist(), trust.tolist()))
         i, j = int(raters[0]), int(raters[1])

@@ -185,11 +185,15 @@ def test_warm_start_agrees_with_zero_start():
         assert np.max(np.abs(sv.scores - cold.scores)) <= 10 * SolverConfig().tolerance
 
 
-def test_warm_start_rejects_nan():
+@pytest.mark.parametrize("ratings", [{}, {2: 1.0}], ids=["no-raters", "one-rater"])
+@pytest.mark.parametrize(
+    "warm", [[5.0, 5.0], [0.0, np.nan, 0.2], [2.0, 2.0, 2.0]], ids=["wrong-shape", "nan", "above-one"]
+)
+def test_warm_start_checked_with_or_without_raters(ratings, warm):
+    # with no raters the solve still validates its warm start
     g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    st = SessionState({2: 1.0}, np.zeros(3))
     with pytest.raises(ValidationError):
-        solve_iterative(g, st, SolverConfig(warm_start=[0.0, np.nan, 0.2]))
+        solve_iterative(g, SessionState(ratings, np.zeros(3)), SolverConfig(warm_start=warm))
 
 
 def test_budget_exhaustion_flagged():
@@ -204,7 +208,7 @@ def test_monotone_sweeps_from_zero_start():
     g = random_graph(rng)
     st = random_state(rng, g.n_nodes)
     w = compute_weights(g, st)
-    mask = reachability_mask(g, st.raters)
+    mask = reachability_mask(g, np.flatnonzero(st.rater_mask(g.n_nodes)))
     update = np.flatnonzero(mask & ~st.rater_mask(g.n_nodes)).astype(np.int64)
 
     def plain(max_iters):
@@ -255,6 +259,48 @@ def test_state_validation():
         solve_iterative(g, SessionState({1: 1.5}, np.zeros(2)))
     with pytest.raises(ValidationError):
         solve_iterative(g, SessionState({5: 1.0}, np.zeros(2)))
+
+
+def test_insertion_order_of_ratings_is_invisible():
+    rng = np.random.default_rng(41)
+    for alpha in (0.5, 0.8):
+        g = random_graph(rng, n=60, lam=5.0, trust=(0.05, 0.95))
+        st = random_state(rng, g.n_nodes, k=0.2, alpha=alpha)
+        rev = SessionState(dict(reversed(list(st.ratings.items()))), st.thresholds, alpha)
+        assert list(rev.ratings) != list(st.ratings)
+        for solve in (solve_iterative, solve_dense_oracle):
+            assert np.array_equal(solve(g, st).scores, solve(g, rev).scores)
+
+
+@pytest.mark.parametrize(
+    "ratings, message",
+    [
+        ({1: 0.5, 7: 1.5, 9: 0.5}, "rater 7 outside [0, 5)"),
+        ({1: 0.5, 3: 1.5, 9: 0.5}, "rating 1.5 for node 3 must lie in [0, 1]"),
+        ({3: np.nan, -1: 0.5}, "rating nan for node 3 must lie in [0, 1]"),
+    ],
+)
+def test_validation_names_first_bad_entry_in_insertion_order(ratings, message):
+    with pytest.raises(ValidationError) as err:
+        SessionState(ratings, np.zeros(5)).validate(5)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ratings", [{1.5: 1.0}, {"3": 1.0}, {0: 1.0, 2.0: 1.0}, {True: 1.0}, {0: "0.5"}])
+def test_rater_ids_and_ratings_must_be_numbers(ratings):
+    g = build_graph(5, [(0, 1, 0.5)])
+    st = SessionState(ratings, np.zeros(5))
+    for call in (lambda: st.validate(5), lambda: st.rater_mask(5), lambda: solve_iterative(g, st)):
+        with pytest.raises(ValidationError, match="rater ids must be integers and ratings numbers"):
+            call()
+
+
+def test_rater_arrays_keep_insertion_order():
+    nodes, ratings = SessionState({4: 0.25, np.int64(1): 1, 3: 0.5}, None).rater_arrays()
+    assert nodes.dtype == np.int64 and nodes.tolist() == [4, 1, 3]
+    assert ratings.dtype == np.float64 and ratings.tolist() == [0.25, 1.0, 0.5]
+    empty = SessionState({}, None).rater_arrays()
+    assert (empty[0].dtype, empty[1].dtype, empty[0].size, empty[1].size) == (np.int64, np.float64, 0, 0)
 
 
 def test_single_node_rater():

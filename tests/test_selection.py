@@ -366,7 +366,7 @@ def test_fast_path_matches_slow_path_rating_below_scores():
         raters = rng.choice(g.n_nodes, size=4, replace=False)
         state = SessionState({int(i): 1.0 for i in raters}, thresholds, 0.5)
         sv = solve_iterative(g, state, TIGHT)
-        falling += int(np.count_nonzero(sv.scores[state.non_raters(g.n_nodes)] > 0.3))
+        falling += int(np.count_nonzero(sv.scores[~state.rater_mask(g.n_nodes)] > 0.3))
         assert _step_fast_and_slow(g, state, 5, 0.3) == []
     assert falling > 0  # candidates above the rating take the full-scan branch
 
