@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import experiments
-from .analytics import ModelParams
+from .analytics import ModelParams, k_max_for_target, k_min_for_target
 from .editing import EditingConfig, TrustUpdateConfig, run_session
 from .errors import ParseError, TrustSatError, ValidationError
 from .graph import (
@@ -262,33 +262,26 @@ def cmd_bounds(args) -> int:
         rater_fraction=0.0,
         threshold=args.b if args.b is not None else DEFAULT_THRESHOLD,
     )
-    empirical = None
+    if args.empirical and args.nodes is None:
+        raise ValidationError("--empirical requires --nodes")
+    # every share is checked against the closed forms before any solve
+    shares = experiments.check_grid(args.t_grid, "T").tolist()
+    columns = [shares, [k_min_for_target(params, s) for s in shares], [k_max_for_target(params, s) for s in shares]]
     if args.empirical:
-        if args.nodes is None:
-            raise ValidationError("--empirical requires --nodes")
-        seeds = _seed_pool(args)
-
-        def empirical(share: float) -> float:
-            return experiments.empirical_k_for_target(
-                args.nodes,
-                args.mean_degree / _nodes(args),
-                ConstantTrust(args.t),
-                params.threshold,
-                args.rating,
-                share,
-                seeds,
-                _solver(args),
-            )
-
-    rows = experiments.bounds_table(params, args.t_grid, empirical)
-    cols = ["T", "k_min", "k_max"] + (["k_hat"] if args.empirical else [])
+        columns.append(experiments.empirical_k_for_target(
+            args.nodes,
+            args.mean_degree / _nodes(args),
+            ConstantTrust(args.t),
+            params.threshold,
+            args.rating,
+            shares,
+            _seed_pool(args),
+            _solver(args),
+        ))
     write_csv(
         args.out or sys.stdout,
-        cols,
-        [
-            (r.share, r.k_min, r.k_max) + ((r.k_hat,) if args.empirical else ())
-            for r in rows
-        ],
+        ["T", "k_min", "k_max"] + (["k_hat"] if args.empirical else []),
+        zip(*columns),
         _echo(args),
     )
     return 0

@@ -5,6 +5,8 @@ These back the CLI and reproduce the reference simulation protocol at desk
 scale: directed G(n, D/n) graphs, per-edge uniform or constant trust,
 constant rating 1, equal rater/non-rater weight, and mean curves over seeds.
 
+Each seed's graph and rater permutation are drawn once, and a sweep holds
+one graph at a time: it releases a seed's graph before it draws the next.
 Within one seed, rater sets for different fractions k are nested prefixes of
 a single random permutation. Raising k then only ever adds raters rating at
 least as high as any current score, so per-seed unsatisfied curves are
@@ -17,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .analytics import ModelParams, k_max_for_target, k_min_for_target
 from .editing import EditingConfig, SessionLog, run_session
 from .errors import ValidationError
 from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
@@ -30,7 +31,9 @@ from .satisfaction import (SatisfactionVector, SessionState, SolverConfig, requi
 from .selection import STRATEGY_KINDS, SelectionStrategy
 
 
-def _check_grid(grid: Sequence[float], name: str) -> np.ndarray:
+def check_grid(grid: Sequence[float], name: str) -> np.ndarray:
+    """The grid as a float array. Raises ValidationError unless it is
+    nonempty and strictly increasing."""
     arr = np.asarray(grid, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError(f"{name} grid must be nonempty")
@@ -107,7 +110,7 @@ def sweep_rater_fraction(
 ) -> List[SweepRow]:
     """Unsatisfied fraction (over all users) vs rater fraction, one graph
     per seed reused across the grid with nested rater prefixes."""
-    k_grid = _check_grid(k_grid, "k")
+    k_grid = check_grid(k_grid, "k")
     counts = [rater_count(k, n_nodes) for k in k_grid]
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(thresholds, n_nodes)
@@ -119,6 +122,7 @@ def sweep_rater_fraction(
         for ki, n_r in enumerate(counts):
             sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg, alpha)
             results[si, ki] = 1.0 - satisfied_count(sv, thresholds)[0] / n_nodes
+        del g  # released before the next seed's graph is built
     return [
         SweepRow(float(k), *_mean_stderr(results[:, ki])) for ki, k in enumerate(k_grid)
     ]
@@ -136,7 +140,7 @@ def sweep_edge_prob(
     alpha: float = 0.5,
 ) -> List[SweepRow]:
     """Unsatisfied fraction vs edge probability at a fixed rater fraction."""
-    p_grid = _check_grid(p_grid, "p")
+    p_grid = check_grid(p_grid, "p")
     n_r = rater_count(rater_fraction, n_nodes)
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(thresholds, n_nodes)
@@ -145,8 +149,8 @@ def sweep_edge_prob(
         graph_rng, perm_rng = _spawn(seed, 2)
         raters = perm_rng.permutation(n_nodes)[:n_r]
         for pi, p in enumerate(p_grid):
-            g = _draw_graph(graph_rng, n_nodes, float(p), trust_dist)
-            sv = _solve_raters(g, raters, rating, thresholds, cfg, alpha)
+            sv = _solve_raters(_draw_graph(graph_rng, n_nodes, float(p), trust_dist), raters, rating, thresholds,
+                               cfg, alpha)
             results[si, pi] = 1.0 - satisfied_count(sv, thresholds)[0] / n_nodes
     return [
         SweepRow(float(p), *_mean_stderr(results[:, pi])) for pi, p in enumerate(p_grid)
@@ -172,22 +176,29 @@ def compare_strategies(
     publish_fraction: float = 1.0,
     max_rounds: Optional[int] = None,
 ) -> List[StrategyRun]:
-    """Run full sessions for each strategy on identical per-seed graphs."""
+    """Run full sessions for each strategy on identical per-seed graphs.
+    Every strategy's session config is built and validated before the first
+    graph is drawn."""
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(thresholds, n_nodes)
+    configs = [
+        EditingConfig(
+            strategy=SelectionStrategy(name, assumed_rating=rating),
+            publish_fraction=publish_fraction,
+            max_rounds=max_rounds,
+            rating_source=rating,
+        )
+        for name in strategies
+    ]
+    for econf in configs:
+        econf.validate(n_nodes)
     runs: List[StrategyRun] = []
     for seed in seeds:
         graph_rng, session_rng_base = np.random.SeedSequence(seed).spawn(2)
         g = _draw_graph(np.random.default_rng(graph_rng), n_nodes, edge_prob, trust_dist)
-        for name in strategies:
-            econf = EditingConfig(
-                strategy=SelectionStrategy(name, assumed_rating=rating),
-                publish_fraction=publish_fraction,
-                max_rounds=max_rounds,
-                rating_source=rating,
-            )
+        for econf in configs:
             rng = np.random.default_rng(session_rng_base)
-            runs.append(StrategyRun(name, seed, run_session(g, thresholds, econf, cfg, rng)))
+            runs.append(StrategyRun(econf.strategy.kind, seed, run_session(g, thresholds, econf, cfg, rng)))
     return runs
 
 
@@ -207,14 +218,15 @@ def empirical_k_for_target(
     trust_dist: TrustDist,
     threshold: float,
     rating: float,
-    target_share: float,
+    target_shares: Iterable[float],
     seeds: Sequence[int],
     cfg: Optional[SolverConfig] = None,
     k_resolution: float = 0.005,
-) -> float:
-    """Smallest rater fraction whose mean non-rater satisfied share reaches
-    the target, found by bisection over k. Graphs and rater permutations
-    are fixed per seed, so probes at different k are nested and the probed
+) -> List[float]:
+    """For each target share, the smallest rater fraction whose mean
+    non-rater satisfied share reaches it, found by bisection over k. Each
+    seed's graph and rater permutation are drawn once and serve every probe
+    of every target, so probes at different k are nested and the probed
     share is monotone in k seed by seed."""
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(threshold, n_nodes)
@@ -235,45 +247,19 @@ def empirical_k_for_target(
             shares.append(sat / max(non_raters.size, 1))
         return float(np.mean(shares))
 
-    lo, hi = 0.0, 1.0
-    if share_at(hi - k_resolution) < target_share:
-        return 1.0
-    while hi - lo > k_resolution:
-        mid = 0.5 * (lo + hi)
-        if share_at(mid) >= target_share:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    def bisect(target_share: float) -> float:
+        lo, hi = 0.0, 1.0
+        if share_at(hi - k_resolution) < target_share:
+            return 1.0
+        while hi - lo > k_resolution:
+            mid = 0.5 * (lo + hi)
+            if share_at(mid) >= target_share:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
-
-@dataclass
-class BoundsRow:
-    share: float
-    k_min: float
-    k_max: float
-    k_hat: float = math.nan
-
-
-def bounds_table(
-    params: ModelParams,
-    shares: Sequence[float],
-    empirical: Optional[Callable[[float], float]] = None,
-) -> List[BoundsRow]:
-    """Evaluate the necessary/sufficient rater-fraction bounds over a grid
-    of target non-rater shares, optionally alongside a measured k."""
-    shares = _check_grid(shares, "T")
-    rows = []
-    for s in shares:
-        row = BoundsRow(
-            share=float(s),
-            k_min=k_min_for_target(params, float(s)),
-            k_max=k_max_for_target(params, float(s)),
-        )
-        if empirical is not None:
-            row.k_hat = empirical(float(s))
-        rows.append(row)
-    return rows
+    return [bisect(share) for share in target_shares]
 
 
 def _norm_pdf(x: float) -> float:
@@ -370,15 +356,16 @@ def empirical_satisfaction_cdf(
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
     n = spec.n_nodes
     n_raters = rater_count(rater_fraction, n)
+    if n_raters == n:
+        raise ValidationError("rater_fraction = 1 leaves no non-rater scores to pool")
     pools = []
     for _ in range(n_trials):
         g = _draw_graph(rng, n, spec.edge_prob, spec.trust_dist)
         raters = rng.choice(n, size=n_raters, replace=False) if n_raters else np.empty(0, np.int64)
         sv = _solve_raters(g, raters, rating, None, cfg)
         pools.append(np.delete(sv.scores, raters))
+        del g  # released before the next trial's graph is built
     samples = np.sort(np.concatenate(pools))
-    if samples.size == 0:
-        raise ValidationError("rater_fraction = 1 leaves no non-rater scores to pool")
     x = np.linspace(0.0, 1.0, grid_points)
     cdf = np.searchsorted(samples, x, side="right") / samples.size
     return CdfTable(x=x, cdf=cdf, n_samples=int(samples.size), sample_mean=float(samples.mean()))

@@ -264,8 +264,8 @@ def test_c08_bounds_bracket_measured_k():
         k_hi = k_max_for_target(p, 0.5)
         assert k_lo == pytest.approx(0.1 * 0.2 / (0.8 * 0.9), rel=1e-6)
         assert k_hi == pytest.approx(0.375, rel=1e-6)
-        k_hat = empirical_k_for_target(
-            2000, 20 / 2000, ConstantTrust(0.8), 0.2, 1.0, 0.5, seeds=range(20)
+        (k_hat,) = empirical_k_for_target(
+            2000, 20 / 2000, ConstantTrust(0.8), 0.2, 1.0, [0.5], seeds=range(20)
         )
         assert k_lo <= k_hat <= k_hi
 

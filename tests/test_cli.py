@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trustsat import experiments
 from trustsat.cli import main
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +257,18 @@ def test_bounds_empirical_column(tmp_path):
     assert data[0] == "T,k_min,k_max,k_hat"
     share, k_min, k_max, k_hat = map(float, data[1].split(","))
     assert k_min <= k_hat <= k_max
+
+
+@pytest.mark.parametrize("grid, rc, draws", [("0.3,0.5,0.7", 0, 4), ("0.3,0.5,1.5", 3, 0)],
+                         ids=["valid", "bad-last-share"])
+def test_bounds_empirical_draws_each_seed_once(tmp_path, monkeypatch, grid, rc, draws):
+    # a bad share fails before any graph is drawn
+    calls = []
+    real = experiments._draw_graph
+    monkeypatch.setattr(experiments, "_draw_graph", lambda *args: calls.append(1) or real(*args))
+    assert run_cli("bounds", "--mean-degree", "10", "--t", "0.8", "--t-grid", grid, "--empirical",
+                   "--nodes", "100", "--num-seeds", "4", "-o", str(tmp_path / "bounds.csv")) == rc
+    assert len(calls) == draws
 
 
 def test_cdf_csv(tmp_path):

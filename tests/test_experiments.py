@@ -1,4 +1,5 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from trustsat import (
     UniformTrust,
     ValidationError,
 )
+from trustsat import experiments
 from trustsat.experiments import (
-    bounds_table,
     compare_strategies,
     empirical_k_for_target,
     empirical_satisfaction_cdf,
@@ -21,8 +22,8 @@ from trustsat.experiments import (
     sweep_rater_fraction,
     truncated_normal_thresholds,
 )
-from trustsat.analytics import ModelParams
-from trustsat.graph import write_csv
+from trustsat.analytics import ModelParams, k_max_for_target, k_min_for_target
+from trustsat.graph import TrustGraph, write_csv
 
 
 def test_sweep_k_monotone_and_endpoints():
@@ -93,7 +94,7 @@ def test_unconverged_solve_fails_loud():
     with pytest.raises(NotConverged):
         sweep_edge_prob(200, [8 / 200], UniformTrust(), 0.2, 1.0, 0.1, [0], one_sweep)
     with pytest.raises(NotConverged):
-        empirical_k_for_target(200, 8 / 200, ConstantTrust(0.8), 0.2, 1.0, 0.5, [0], one_sweep)
+        empirical_k_for_target(200, 8 / 200, ConstantTrust(0.8), 0.2, 1.0, [0.5], [0], one_sweep)
     spec = ErdosRenyiSpec(200, 8 / 200, ConstantTrust(0.5), 3)
     with pytest.raises(NotConverged):
         empirical_satisfaction_cdf(spec, 0.2, 1.0, 2, one_sweep)
@@ -120,6 +121,52 @@ def test_compare_greedy_gap_shrinks_with_density():
     assert gaps[50] < gaps[10]
 
 
+class _TrackedGraph(TrustGraph):
+    __slots__ = ("__weakref__",)
+
+
+def _probe_draws(monkeypatch):
+    """Replace ``experiments._draw_graph`` with a probe. Returns the list
+    it appends to at each draw: how many earlier graphs are still alive."""
+    real = experiments._draw_graph
+    alive_at_draw = []
+    refs = []
+
+    def probe(*args):
+        alive_at_draw.append(sum(ref() is not None for ref in refs))
+        g = real(*args)
+        tracked = _TrackedGraph(*(getattr(g, name) for name in TrustGraph.__slots__))
+        refs.append(weakref.ref(tracked))
+        return tracked
+
+    monkeypatch.setattr(experiments, "_draw_graph", probe)
+    return alive_at_draw
+
+
+@pytest.mark.parametrize("driver", [
+    lambda: sweep_rater_fraction(200, 8 / 200, UniformTrust(), 0.2, 1.0, [0.1, 0.3], seeds=range(3)),
+    lambda: sweep_edge_prob(200, [4 / 200, 8 / 200], UniformTrust(), 0.2, 1.0, 0.1, seeds=range(2)),
+    lambda: empirical_satisfaction_cdf(ErdosRenyiSpec(200, 8 / 200, ConstantTrust(0.5), 3), 0.2, 1.0, 3),
+], ids=["sweep-k", "sweep-p", "cdf"])
+def test_sweeps_hold_one_graph_at_a_time(monkeypatch, driver):
+    alive_at_draw = _probe_draws(monkeypatch)
+    driver()
+    assert len(alive_at_draw) >= 3
+    assert alive_at_draw == [0] * len(alive_at_draw)
+
+
+def test_compare_rejects_unknown_strategy_before_any_session(monkeypatch):
+    draws = _probe_draws(monkeypatch)
+    with pytest.raises(ValidationError, match="bogus"):
+        compare_strategies(100, 8 / 100, UniformTrust(), 0.2, 1.0, seeds=[0], strategies=["random", "bogus"])
+    assert draws == []
+
+
+def test_compare_iterator_of_strategies_serves_every_seed():
+    runs = compare_strategies(60, 6 / 60, UniformTrust(), 0.2, 1.0, seeds=range(3), strategies=iter(["trust"]))
+    assert [(r.strategy, r.seed) for r in runs] == [("trust", 0), ("trust", 1), ("trust", 2)]
+
+
 def test_compare_single_node_graph():
     runs = compare_strategies(1, 0.0, UniformTrust(), 0.2, 1.0, seeds=[0])
     assert all(r.log.status == "published" and r.log.raters_used() == 1 for r in runs)
@@ -127,13 +174,26 @@ def test_compare_single_node_graph():
 
 def test_empirical_k_bisection_brackets():
     p = ModelParams(mean_degree=10.0, trust=0.8, rating=1.0, rater_fraction=0.0, threshold=0.2)
-    k_hat = empirical_k_for_target(
-        500, 10 / 500, ConstantTrust(0.8), 0.2, 1.0, 0.5, seeds=range(5), k_resolution=0.01
+    (k_hat,) = empirical_k_for_target(
+        500, 10 / 500, ConstantTrust(0.8), 0.2, 1.0, [0.5], seeds=range(5), k_resolution=0.01
     )
-    rows = bounds_table(p, [0.5], lambda s: k_hat)
-    row = rows[0]
-    assert row.k_min <= row.k_hat <= row.k_max
-    assert row.k_hat == k_hat
+    assert k_min_for_target(p, 0.5) <= k_hat <= k_max_for_target(p, 0.5)
+
+
+def test_empirical_k_targets_match_single_target_calls():
+    def k_hat(shares):
+        return empirical_k_for_target(300, 8 / 300, ConstantTrust(0.8), 0.2, 1.0, shares, seeds=range(3),
+                                      k_resolution=0.01)
+
+    shares = [0.3, 0.5, 0.7]
+    assert k_hat(shares) == [k_hat([s])[0] for s in shares]
+
+
+def test_cdf_rejects_all_raters_before_drawing(monkeypatch):
+    draws = _probe_draws(monkeypatch)
+    with pytest.raises(ValidationError, match="leaves no non-rater scores"):
+        empirical_satisfaction_cdf(ErdosRenyiSpec(50, 0.1, ConstantTrust(0.5), 1), 1.0, 1.0, 3)
+    assert draws == []
 
 
 def test_truncated_normal_threshold_moments():
