@@ -67,7 +67,6 @@ from .satisfaction import (
 )
 from .selection import (
     DeltaMatrix,
-    SelectionStrategy,
     delta_init,
     delta_promote,
     marginal_greedy_fast,

@@ -36,7 +36,6 @@ class ModelParams:
     mean_degree: float  # expected out-degree of the random graph
     trust: float        # common edge trust
     rating: float       # common rating given by every rater
-    rater_fraction: float
     threshold: float    # common satisfaction threshold
 
     def __post_init__(self):
@@ -46,10 +45,6 @@ class ModelParams:
             raise ValidationError(f"trust must lie in (0, 1], got {self.trust}")
         if not (0.0 < self.rating <= 1.0):
             raise ValidationError(f"rating must lie in (0, 1], got {self.rating}")
-        if not (0.0 <= self.rater_fraction <= 1.0):
-            raise ValidationError(
-                f"rater_fraction must lie in [0, 1], got {self.rater_fraction}"
-            )
         if not (0.0 < self.threshold < 1.0):
             raise ValidationError(f"threshold must lie in (0, 1), got {self.threshold}")
         if not self.rating > self.threshold:
@@ -89,13 +84,16 @@ def poisson_degree_pmf(mean_degree: float, d: int) -> float:
     return math.exp(-mean_degree + d * math.log(mean_degree) - math.lgamma(d + 1))
 
 
-def expected_satisfaction(p: ModelParams) -> float:
-    """Mean non-rater score under uniformly chosen raters."""
+def expected_satisfaction(p: ModelParams, rater_fraction: float) -> float:
+    """Mean non-rater score under uniformly chosen raters at the given
+    fraction, which must lie in [0, 1]."""
+    if not (0.0 <= rater_fraction <= 1.0):
+        raise ValidationError(f"rater_fraction must lie in [0, 1], got {rater_fraction}")
     q = p.reach_prob
-    num = p.trust * p.rating * p.rater_fraction * q
+    num = p.trust * p.rating * rater_fraction * q
     if num == 0.0:
         return 0.0
-    return num / (1.0 - p.trust * (1.0 - p.rater_fraction) * q)
+    return num / (1.0 - p.trust * (1.0 - rater_fraction) * q)
 
 
 def k_min_for_target(p: ModelParams, share: float) -> float:

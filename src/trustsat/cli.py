@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import experiments
+from . import editing, experiments
 from .analytics import ModelParams, k_max_for_target, k_min_for_target
 from .editing import EditingConfig, TrustUpdateConfig, run_session
 from .errors import ParseError, TrustSatError, ValidationError
@@ -31,7 +31,7 @@ from .graph import (
     write_csv,
 )
 from .satisfaction import DEFAULT_TOLERANCE, SessionState, SolverConfig, satisfied_count, solve_iterative
-from .selection import STRATEGY_KINDS, SelectionStrategy
+from .selection import STRATEGY_KINDS
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -165,14 +165,16 @@ def cmd_session(args) -> int:
     b, b_echo = _thresholds(args, g.n_nodes)
     tu = TrustUpdateConfig(*args.trust_update) if args.trust_update else None
     cfg = EditingConfig(
-        strategy=SelectionStrategy(args.strategy, assumed_rating=args.rating),
+        strategy=args.strategy,
+        assumed_rating=args.rating,
         publish_fraction=args.eta,
         max_rounds=args.max_rounds,
         rating_source=args.rating,
-        trust_update=tu,
         alpha=args.alpha,
     )
     log = run_session(g, b, cfg, _solver(args), np.random.default_rng(args.seed))
+    if tu is not None:
+        editing.apply_rater_trust_updates(g, log.state, tu)  # the blended graph is not written out
     log.to_csv(args.out or sys.stdout, _echo(args, b_echo))
     print(f"status={log.status} raters={log.raters_used()}")
     return 0
@@ -259,7 +261,6 @@ def cmd_bounds(args) -> int:
         mean_degree=args.mean_degree,
         trust=args.t,
         rating=args.rating,
-        rater_fraction=0.0,
         threshold=args.b if args.b is not None else DEFAULT_THRESHOLD,
     )
     if args.empirical and args.nodes is None:

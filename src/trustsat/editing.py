@@ -21,15 +21,16 @@ in both directions between every pair of raters. The agreement term is 1
 for identical ratings and decays convexly with the rating gap; it never
 quite reaches 0 (only as sharpness grows without bound). Missing edges enter
 with old trust 0, so rating twice alike creates trust without any direct
-interaction. A session runs on its input graph and merges all the updates
-once, when it ends. Re-blending each new rater's pairs as it joins gives the
+interaction. A session never changes its graph: its caller merges all the
+updates once, after it ends, with ``apply_rater_trust_updates(g,
+log.state, cfg)``. Re-blending each new rater's pairs as it joins gives the
 same rounds and graph: rater-rater edges never enter a score, and each pair
 is blended once, from its input trust, by a rule symmetric in the ratings.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
@@ -46,8 +47,8 @@ from .satisfaction import (
 )
 from .selection import (
     DELTA_FAST_PATH_CAP,
+    STRATEGY_KINDS,
     DeltaMatrix,
-    SelectionStrategy,
     delta_init,
     delta_promote,
     marginal_greedy_fast,
@@ -75,14 +76,18 @@ class TrustUpdateConfig:
 
 @dataclass
 class EditingConfig:
-    strategy: SelectionStrategy
+    strategy: str  # one of STRATEGY_KINDS
+    assumed_rating: float = 1.0  # candidate rating the marginal greedy assumes
     publish_fraction: float = 1.0  # satisfied fraction required to publish
     max_rounds: Optional[int] = None  # default: one round per node
     rating_source: Union[float, np.ndarray] = 1.0
-    trust_update: Optional[TrustUpdateConfig] = None
     alpha: float = 0.5
 
     def validate(self, n_nodes: int) -> None:
+        if self.strategy not in STRATEGY_KINDS:
+            raise ValidationError(f"strategy kind must be one of {STRATEGY_KINDS}, got {self.strategy!r}")
+        if self.strategy == "marginal" and not (0.0 < self.assumed_rating <= 1.0):
+            raise ValidationError(f"assumed rating must lie in (0, 1], got {self.assumed_rating}")
         if n_nodes < 1:
             raise ValidationError(f"a session graph must have >= 1 node, got {n_nodes}")
         if not (0.0 < self.publish_fraction <= 1.0):
@@ -91,7 +96,7 @@ class EditingConfig:
             )
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValidationError(f"max_rounds must be >= 0, got {self.max_rounds}")
-        if self.strategy.kind == "marginal" and n_nodes > DELTA_FAST_PATH_CAP:
+        if self.strategy == "marginal" and n_nodes > DELTA_FAST_PATH_CAP:
             raise TooLarge(f"marginal sessions are limited to {DELTA_FAST_PATH_CAP} nodes, got {n_nodes}")
         if isinstance(self.rating_source, np.ndarray):
             if self.rating_source.shape != (n_nodes,):
@@ -122,7 +127,6 @@ class SessionLog:
     status: str = "budget_exhausted"  # published | deadlock | budget_exhausted
     final: Optional[SatisfactionVector] = None
     state: Optional[SessionState] = None
-    graph: Optional[TrustGraph] = None
 
     def raters_used(self) -> int:
         return len(self.rounds)
@@ -178,14 +182,13 @@ def apply_rater_trust_updates(
 
 
 def _select(g, state, cfg, solver_cfg, rng, s, dm):
-    kind = cfg.strategy.kind
-    if kind == "random":
+    if cfg.strategy == "random":
         return select_random(g, state, rng)
-    if kind == "trust":
+    if cfg.strategy == "trust":
         return select_trust_greedy(g, state)
     if dm is not None:
-        return marginal_greedy_fast(g, state, s, dm, cfg.strategy.assumed_rating)
-    return select_marginal_greedy(g, state, cfg.strategy.assumed_rating, solver_cfg)
+        return marginal_greedy_fast(g, state, s, dm, cfg.assumed_rating)
+    return select_marginal_greedy(g, state, cfg.assumed_rating, solver_cfg)
 
 
 def run_session(
@@ -201,7 +204,8 @@ def run_session(
     round without an influence table calls ``delta_init``; when that raises
     ``AlphaUnsupported`` (alpha != 0.5) or ``SingularInfluence`` (retried
     next round, whose rater may break the closed class), the round runs the
-    re-solve greedy and logs why at debug level."""
+    re-solve greedy and logs why at debug level. The session leaves ``g``
+    as it is; a trust update is the caller's step after it."""
     cfg.validate(g.n_nodes)
     solver_cfg = solver_cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -210,7 +214,7 @@ def run_session(
 
     state = SessionState({}, np.asarray(thresholds, dtype=np.float64), cfg.alpha)
     state.validate(n)
-    log_obj = SessionLog(state=state, graph=g)
+    log_obj = SessionLog(state=state)
     dm: Optional[DeltaMatrix] = None
 
     sv = require_converged(solve_iterative(g, state, solver_cfg), "initial session solve")
@@ -230,7 +234,7 @@ def run_session(
         if round_no > max_rounds:
             break  # status stays budget_exhausted
 
-        if cfg.strategy.kind == "marginal" and dm is None:
+        if cfg.strategy == "marginal" and dm is None:
             try:
                 dm = delta_init(g, state, solver_cfg)
             except (AlphaUnsupported, SingularInfluence) as exc:
@@ -250,7 +254,7 @@ def run_session(
             dm = delta_promote(dm, chosen)
 
         state.add_rater(chosen, rating)
-        sv = solve_iterative(g, state, replace(solver_cfg, warm_start=warm))
+        sv = solve_iterative(g, state, solver_cfg, warm)
         require_converged(sv, f"session round {round_no} solve")
         last = count
         count, satisfied = satisfied_count(sv, state.thresholds)
@@ -260,6 +264,4 @@ def run_session(
         log_obj.rounds.append(SessionRound(round_no, int(chosen), rating, count, count / n))
 
     log_obj.final = sv
-    if cfg.trust_update is not None:
-        log_obj.graph = apply_rater_trust_updates(g, state, cfg.trust_update)
     return log_obj

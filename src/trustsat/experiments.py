@@ -5,8 +5,9 @@ These back the CLI and reproduce the reference simulation protocol at desk
 scale: directed G(n, D/n) graphs, per-edge uniform or constant trust,
 constant rating 1, equal rater/non-rater weight, and mean curves over seeds.
 
-Each seed's graph and rater permutation are drawn once, and a sweep holds
-one graph at a time: it releases a seed's graph before it draws the next.
+Each seed's graph and rater permutation are drawn once, and the sweeps and
+the strategy race hold one graph at a time: they release a seed's graph
+before they draw the next.
 Within one seed, rater sets for different fractions k are nested prefixes of
 a single random permutation. Raising k then only ever adds raters rating at
 least as high as any current score, so per-seed unsatisfied curves are
@@ -28,7 +29,7 @@ from .errors import ValidationError
 from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
 from .satisfaction import (SatisfactionVector, SessionState, SolverConfig, require_converged, satisfied_count,
                            solve_iterative)
-from .selection import STRATEGY_KINDS, SelectionStrategy
+from .selection import STRATEGY_KINDS
 
 
 def check_grid(grid: Sequence[float], name: str) -> np.ndarray:
@@ -178,12 +179,14 @@ def compare_strategies(
 ) -> List[StrategyRun]:
     """Run full sessions for each strategy on identical per-seed graphs.
     Every strategy's session config is built and validated before the first
-    graph is drawn."""
+    graph is drawn, and each seed's graph is released before the next is
+    drawn."""
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(thresholds, n_nodes)
     configs = [
         EditingConfig(
-            strategy=SelectionStrategy(name, assumed_rating=rating),
+            strategy=name,
+            assumed_rating=rating,
             publish_fraction=publish_fraction,
             max_rounds=max_rounds,
             rating_source=rating,
@@ -198,7 +201,8 @@ def compare_strategies(
         g = _draw_graph(np.random.default_rng(graph_rng), n_nodes, edge_prob, trust_dist)
         for econf in configs:
             rng = np.random.default_rng(session_rng_base)
-            runs.append(StrategyRun(econf.strategy.kind, seed, run_session(g, thresholds, econf, cfg, rng)))
+            runs.append(StrategyRun(econf.strategy, seed, run_session(g, thresholds, econf, cfg, rng)))
+        del g
     return runs
 
 
@@ -227,9 +231,11 @@ def empirical_k_for_target(
     non-rater satisfied share reaches it, found by bisection over k. Each
     seed's graph and rater permutation are drawn once and serve every probe
     of every target, so probes at different k are nested and the probed
-    share is monotone in k seed by seed."""
+    share is monotone in k seed by seed. Probes that round to one rater
+    count share one set of solves."""
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(threshold, n_nodes)
+    mean_share: Dict[int, float] = {}  # by rater count
     graphs = []
     perms = []
     for seed in seeds:
@@ -239,13 +245,15 @@ def empirical_k_for_target(
 
     def share_at(k: float) -> float:
         n_r = rater_count(k, n_nodes)
-        shares = []
-        for g, perm in zip(graphs, perms):
-            sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg)
-            non_raters = perm[n_r:]
-            sat = np.count_nonzero(sv.scores[non_raters] > thresholds[non_raters])
-            shares.append(sat / max(non_raters.size, 1))
-        return float(np.mean(shares))
+        if n_r not in mean_share:
+            shares = []
+            for g, perm in zip(graphs, perms):
+                sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg)
+                non_raters = perm[n_r:]
+                sat = np.count_nonzero(sv.scores[non_raters] > thresholds[non_raters])
+                shares.append(sat / max(non_raters.size, 1))
+            mean_share[n_r] = float(np.mean(shares))
+        return mean_share[n_r]
 
     def bisect(target_share: float) -> float:
         lo, hi = 0.0, 1.0

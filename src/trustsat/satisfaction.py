@@ -102,7 +102,6 @@ class SessionState:
 class SolverConfig:
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: Optional[int] = None  # default 10 * n_nodes, floor 1000
-    warm_start: Optional[np.ndarray] = None
 
     def validate(self) -> None:
         if not self.tolerance > 0:
@@ -162,12 +161,12 @@ def reachability_mask(g: TrustGraph, raters: Sequence[int]) -> np.ndarray:
     return _kernels.reachable_mask(g.in_indptr, g.in_indices, sources, g.n_nodes)
 
 
-def _initial_scores(g, cfg, mask):
+def _initial_scores(g, warm, mask):
     n = g.n_nodes
-    if cfg.warm_start is None:
+    if warm is None:
         s = np.zeros(n)
     else:
-        s = np.array(cfg.warm_start, dtype=np.float64, copy=True)
+        s = np.array(warm, dtype=np.float64, copy=True)
         if s.shape != (n,):
             raise ValidationError(f"warm start must have shape ({n},), got {s.shape}")
         if not np.all((s >= 0.0) & (s <= 1.0)):
@@ -176,10 +175,12 @@ def _initial_scores(g, cfg, mask):
     return s
 
 
-def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None) -> SatisfactionVector:
+def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None,
+                    warm: Optional[np.ndarray] = None) -> SatisfactionVector:
     """Solve the score fixed point by accelerated sparse sweeps.
 
-    Starts from ratings-at-raters / zero-elsewhere (or the warm start),
+    Starts from ratings-at-raters / zero-elsewhere, or from the scores
+    ``warm`` (shape (n,), in [0, 1]) with the ratings written over them,
     pins unreachable nodes to zero, and sweeps reachable non-rater rows
     until a sweep moves no coordinate more than the tolerance.
     ``iterations_used`` counts sweeps, and ``converged`` is False when the
@@ -193,7 +194,7 @@ def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConf
     rater = state.rater_mask(n)
     mask = reachability_mask(g, nodes)
     weights = g.half_weights if state.alpha == 0.5 else compute_weights(g, state)
-    s = _initial_scores(g, cfg, mask)
+    s = _initial_scores(g, warm, mask)
     s[nodes] = ratings
     update = np.flatnonzero(mask & ~rater).astype(np.int64)
 

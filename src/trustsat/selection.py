@@ -70,18 +70,6 @@ DELTA_FAST_PATH_CAP = 5000
 PENDING_RANK = 32
 
 
-@dataclass(frozen=True)
-class SelectionStrategy:
-    kind: str
-    assumed_rating: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValidationError(f"strategy kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if not (0.0 < self.assumed_rating <= 1.0):
-            raise ValidationError(f"assumed rating must lie in (0, 1], got {self.assumed_rating}")
-
-
 def _non_raters(rater: np.ndarray) -> np.ndarray:
     nr = np.flatnonzero(~rater)
     if nr.size == 0:

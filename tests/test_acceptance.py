@@ -86,7 +86,7 @@ def test_c02_uniqueness_warm_start():
     with criterion(2, "zero start and all-ones warm start agree to 10*tolerance"):
         for g, state in _oracle_instances(1002):
             cold = solve_iterative(g, state)
-            warm = solve_iterative(g, state, SolverConfig(warm_start=np.ones(g.n_nodes)))
+            warm = solve_iterative(g, state, warm=np.ones(g.n_nodes))
             assert np.max(np.abs(cold.scores - warm.scores)) <= 10 * TOL
 
 
@@ -249,17 +249,17 @@ def test_c06_delta_fast_path():
 
 def test_c07_mean_field_prediction():
     with criterion(7, "pooled Monte Carlo mean is within 5% of the closed form"):
-        p = ModelParams(mean_degree=20.0, trust=0.5, rating=1.0, rater_fraction=0.2, threshold=0.3)
+        p = ModelParams(mean_degree=20.0, trust=0.5, rating=1.0, threshold=0.3)
         spec = ErdosRenyiSpec(2000, 20 / 2000, ConstantTrust(0.5), 7)
-        table = empirical_satisfaction_cdf(spec, p.rater_fraction, p.rating, 20, rng=np.random.default_rng(7))
-        predicted = expected_satisfaction(p)
+        table = empirical_satisfaction_cdf(spec, 0.2, p.rating, 20, rng=np.random.default_rng(7))
+        predicted = expected_satisfaction(p, 0.2)
         assert predicted == pytest.approx(1 / 6, rel=1e-6)
         assert abs(table.sample_mean - predicted) / predicted <= 0.05
 
 
 def test_c08_bounds_bracket_measured_k():
     with criterion(8, "bisected empirical rater fraction lies inside [k_min, k_max]"):
-        p = ModelParams(mean_degree=20.0, trust=0.8, rating=1.0, rater_fraction=0.0, threshold=0.2)
+        p = ModelParams(mean_degree=20.0, trust=0.8, rating=1.0, threshold=0.2)
         k_lo = k_min_for_target(p, 0.5)
         k_hi = k_max_for_target(p, 0.5)
         assert k_lo == pytest.approx(0.1 * 0.2 / (0.8 * 0.9), rel=1e-6)

@@ -25,7 +25,7 @@ INF = math.inf
 
 
 def params(**kw):
-    base = dict(mean_degree=20.0, trust=0.5, rating=1.0, rater_fraction=0.2, threshold=0.3)
+    base = dict(mean_degree=20.0, trust=0.5, rating=1.0, threshold=0.3)
     base.update(kw)
     return ModelParams(**base)
 
@@ -55,15 +55,18 @@ def test_poisson_pmf_validation():
 
 
 def test_expected_satisfaction_hand_value():
-    p = params(mean_degree=50.0, trust=0.5, rating=1.0, rater_fraction=0.2)
-    assert expected_satisfaction(p) == pytest.approx(1 / 6, rel=1e-6)
+    p = params(mean_degree=50.0, trust=0.5, rating=1.0)
+    assert expected_satisfaction(p, 0.2) == pytest.approx(1 / 6, rel=1e-6)
 
 
 def test_expected_satisfaction_limits():
-    assert expected_satisfaction(params(rater_fraction=0.0)) == 0.0
-    p = params(rater_fraction=1.0, trust=0.7, rating=0.9, mean_degree=3.0)
+    assert expected_satisfaction(params(), 0.0) == 0.0
+    p = params(trust=0.7, rating=0.9, mean_degree=3.0)
     q = -math.expm1(-3.0)
-    assert expected_satisfaction(p) == pytest.approx(0.7 * 0.9 * q, rel=1e-12)
+    assert expected_satisfaction(p, 1.0) == pytest.approx(0.7 * 0.9 * q, rel=1e-12)
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValidationError, match=r"rater_fraction must lie in \[0, 1\]"):
+            expected_satisfaction(p, bad)
 
 
 def test_k_min_hand_value():
@@ -149,10 +152,10 @@ def test_cdf_isolated_nodes_all_zero():
 
 
 def test_cdf_mean_tracks_closed_form():
-    p = params(mean_degree=20.0, trust=0.5, rating=1.0, rater_fraction=0.2)
+    p = params(mean_degree=20.0, trust=0.5, rating=1.0)
     spec = ErdosRenyiSpec(2000, 20 / 2000, ConstantTrust(0.5), 7)
-    table = empirical_satisfaction_cdf(spec, p.rater_fraction, p.rating, 5, rng=np.random.default_rng(7))
-    predicted = expected_satisfaction(p)
+    table = empirical_satisfaction_cdf(spec, 0.2, p.rating, 5, rng=np.random.default_rng(7))
+    predicted = expected_satisfaction(p, 0.2)
     assert abs(table.sample_mean - predicted) / predicted <= 0.05
     assert table.cdf[0] <= 0.01  # nearly everyone is reachable at this density
     assert np.all(np.diff(table.cdf) >= 0)

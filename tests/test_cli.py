@@ -128,6 +128,38 @@ def test_session_command(tmp_path, capsys):
     assert any(line.startswith("round,") for line in lines)
 
 
+@pytest.mark.parametrize("strategy, rc", [("random", 0), ("trust", 0), ("marginal", 3)])
+def test_session_assumed_rating_checked_only_for_marginal(tmp_path, capsys, strategy, rc):
+    # only the marginal greedy assumes a rating; rating 0 is a valid rating
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    assert run_cli("session", "--graph", str(gpath), "--strategy", strategy, "--rating", "0",
+                   "-o", str(tmp_path / "s.csv")) == rc
+    err = capsys.readouterr().err
+    assert ("assumed rating must lie in (0, 1], got 0.0" in err) == (rc == 3)
+
+
+def test_session_trust_update_runs_once_after_the_session(tmp_path, monkeypatch):
+    # perfbench traces the update through the editing module attribute and
+    # reads the graph and the session state from its first two arguments
+    from trustsat import SessionState, TrustGraph, editing
+
+    calls = []
+    real = editing.apply_rater_trust_updates
+    monkeypatch.setattr(editing, "apply_rater_trust_updates", lambda *args: calls.append(args) or real(*args))
+    gpath = tmp_path / "g.csv"
+    write_path_graph(gpath)
+    assert run_cli("session", "--graph", str(gpath), "--trust-update", "0.5,16", "-o", str(tmp_path / "s.csv")) == 0
+    assert len(calls) == 1
+    g, state = calls[0][:2]
+    assert isinstance(g, TrustGraph) and isinstance(state, SessionState) and len(state.ratings) >= 1
+
+
+def test_compare_without_marginal_accepts_rating_zero(tmp_path):
+    assert run_cli("compare", "--nodes", "40", "--avg-degree", "4", "--strategies", "random,trust",
+                   "--rating", "0", "--num-seeds", "2", "-o", str(tmp_path / "cmp.csv")) == 0
+
+
 def test_sweep_k_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = run_cli("sweep-k", "--nodes", "150", "--avg-degree", "8", "--b", "0.2",

@@ -9,7 +9,6 @@ from trustsat import (
     EditingConfig,
     ErdosRenyiSpec,
     NotConverged,
-    SelectionStrategy,
     SessionState,
     SolverConfig,
     TooLarge,
@@ -125,26 +124,21 @@ def _per_round_update(g, state, new_rater, cfg):
     return build_graph(g.n_nodes, [(s, d, t) for (s, d), t in edges.items()])
 
 
-def _check_against_per_round_reference(g, b, cfg, seed):
-    """run_session's graph equals the per-round reference replayed in join
-    order, and its rounds and final scores equal those of the same session
-    without updates."""
+def _check_against_per_round_reference(g, b, cfg, tu, seed):
+    """The session's trust update, merged once after it ends, equals the
+    per-round reference replayed in join order."""
     log = run_session(g, b, cfg, rng=np.random.default_rng(seed))
-    plain_cfg = dataclasses.replace(cfg, trust_update=None)
-    plain = run_session(g, b, plain_cfg, rng=np.random.default_rng(seed))
-    assert log.rounds == plain.rounds and log.status == plain.status
-    assert np.array_equal(log.final.scores, plain.final.scores)
-    assert plain.graph is g
+    updated = apply_rater_trust_updates(g, log.state, tu)
 
     ref = g
     replay = SessionState({}, log.state.thresholds, cfg.alpha)
     for r in log.rounds:
         replay.add_rater(r.rater, r.rating)
-        ref = _per_round_update(ref, replay, r.rater, cfg.trust_update)
-    assert log.graph == ref
-    assert log.graph.out_trust.tobytes() == ref.out_trust.tobytes()
-    assert np.array_equal(log.graph.in_indptr, ref.in_indptr)
-    assert np.array_equal(log.graph.in_indices, ref.in_indices)
+        ref = _per_round_update(ref, replay, r.rater, tu)
+    assert updated == ref
+    assert updated.out_trust.tobytes() == ref.out_trust.tobytes()
+    assert np.array_equal(updated.in_indptr, ref.in_indptr)
+    assert np.array_equal(updated.in_indices, ref.in_indices)
     return log
 
 
@@ -160,15 +154,15 @@ def test_session_trust_updates_match_per_round_reference(strategy, alpha):
             n = int(rng.integers(20, 60))
             g = random_graph(rng, n=n, lam=float(rng.uniform(2.0, 6.0)))
             ratings = rng.uniform(0.0, 1.0, size=n) if per_node else float(rng.uniform(0.3, 1.0))
+            tu = TrustUpdateConfig(gamma, float(rng.uniform(1.0, 20.0)))
             cfg = EditingConfig(
-                strategy=SelectionStrategy(strategy),
+                strategy=strategy,
                 rating_source=ratings,
-                trust_update=TrustUpdateConfig(gamma, float(rng.uniform(1.0, 20.0))),
                 alpha=alpha,
                 max_rounds=int(rng.integers(5, 30)),
             )
             log = _check_against_per_round_reference(
-                g, rng.uniform(0.05, 0.6, size=n), cfg, int(rng.integers(1000))
+                g, rng.uniform(0.05, 0.6, size=n), cfg, tu, int(rng.integers(1000))
             )
             assert log.raters_used() >= 2
 
@@ -176,26 +170,22 @@ def test_session_trust_updates_match_per_round_reference(strategy, alpha):
 def test_session_trust_updates_match_per_round_reference_n300():
     g = generate_erdos_renyi(ErdosRenyiSpec(300, 10 / 300, UniformTrust(), 300))
     cfg = EditingConfig(
-        strategy=SelectionStrategy("trust"),
+        strategy="trust",
         rating_source=np.random.default_rng(300).uniform(0.2, 1.0, size=300),
-        trust_update=TrustUpdateConfig(gamma=0.5, sharpness=16.0),
         max_rounds=120,
     )
-    log = _check_against_per_round_reference(g, np.full(300, 0.2), cfg, 0)
+    tu = TrustUpdateConfig(gamma=0.5, sharpness=16.0)
+    log = _check_against_per_round_reference(g, np.full(300, 0.2), cfg, tu, 0)
     assert log.raters_used() == 120
 
 
 def test_session_gamma_one_adds_no_edge():
     # gamma = 1 keeps every rater-pair edge as it was and creates none
     g = ring_graph(12, t=0.5)
-    cfg = EditingConfig(
-        strategy=SelectionStrategy("random"),
-        max_rounds=6,
-        trust_update=TrustUpdateConfig(gamma=1.0, sharpness=4.0),
-    )
+    cfg = EditingConfig(strategy="random", max_rounds=6)
     log = run_session(g, np.full(12, 0.9), cfg, rng=np.random.default_rng(1))
     assert log.raters_used() == 6
-    assert log.graph == g
+    assert apply_rater_trust_updates(g, log.state, TrustUpdateConfig(gamma=1.0, sharpness=4.0)) == g
 
 
 def ring_graph(n, t=0.8):
@@ -204,7 +194,7 @@ def ring_graph(n, t=0.8):
 
 def test_session_publishes_with_zero_thresholds():
     g = ring_graph(12)
-    cfg = EditingConfig(strategy=SelectionStrategy("random"))
+    cfg = EditingConfig(strategy="random")
     log = run_session(g, np.zeros(12), cfg, rng=np.random.default_rng(3))
     assert log.status == "published"
     assert log.raters_used() == 1  # one rating reaches everyone around the ring
@@ -214,7 +204,7 @@ def test_session_publishes_with_zero_thresholds():
 def test_session_high_thresholds_low_trust_needs_everyone():
     # scores can never exceed the 0.5 trust ceiling, so only raters satisfy
     g = ring_graph(10, t=0.5)
-    cfg = EditingConfig(strategy=SelectionStrategy("random"), rating_source=1.0)
+    cfg = EditingConfig(strategy="random", rating_source=1.0)
     log = run_session(g, np.full(10, 0.9), cfg, rng=np.random.default_rng(4))
     assert log.status == "published"
     assert log.raters_used() == 10
@@ -224,9 +214,7 @@ def test_session_deadlock_on_low_self_rating():
     # node 0 rates below its own threshold; everyone else is satisfied
     g = build_graph(2, [(1, 0, 1.0)])
     ratings = np.array([0.1, 0.5])
-    cfg = EditingConfig(
-        strategy=SelectionStrategy("trust"), rating_source=ratings
-    )
+    cfg = EditingConfig(strategy="trust", rating_source=ratings)
     log = run_session(g, np.array([0.5, 0.05]), cfg)
     assert log.rounds[0].rater == 0
     assert log.status == "deadlock"
@@ -234,7 +222,7 @@ def test_session_deadlock_on_low_self_rating():
 
 def test_session_budget_exhausted():
     g = ring_graph(30, t=0.5)
-    cfg = EditingConfig(strategy=SelectionStrategy("random"), max_rounds=1)
+    cfg = EditingConfig(strategy="random", max_rounds=1)
     log = run_session(g, np.full(30, 0.9), cfg, rng=np.random.default_rng(9))
     assert log.status == "budget_exhausted"
     assert log.raters_used() == 1
@@ -245,13 +233,13 @@ def test_session_publish_fraction_stops_early():
     full = run_session(
         g,
         np.full(10, 0.9),
-        EditingConfig(strategy=SelectionStrategy("random")),
+        EditingConfig(strategy="random"),
         rng=np.random.default_rng(7),
     )
     partial = run_session(
         g,
         np.full(10, 0.9),
-        EditingConfig(strategy=SelectionStrategy("random"), publish_fraction=0.5),
+        EditingConfig(strategy="random", publish_fraction=0.5),
         rng=np.random.default_rng(7),
     )
     assert partial.status == "published"
@@ -274,7 +262,7 @@ def _check_rounds_against_oracle(g, b, log):
 
 @pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
 def test_session_on_empty_graph_is_validation_error(strategy):
-    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    cfg = EditingConfig(strategy=strategy)
     with pytest.raises(ValidationError, match=">= 1 node, got 0"):
         run_session(build_graph(0, []), np.zeros(0), cfg)
 
@@ -282,7 +270,7 @@ def test_session_on_empty_graph_is_validation_error(strategy):
 @pytest.mark.parametrize("strategy", ["random", "trust", "marginal"])
 def test_session_single_node(strategy):
     g = build_graph(1, [])
-    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    cfg = EditingConfig(strategy=strategy)
     log = run_session(g, np.array([0.2]), cfg, rng=np.random.default_rng(0))
     assert [(r.round, r.rater, r.satisfied) for r in log.rounds] == [(1, 0, 1)]
     _check_rounds_against_oracle(g, np.array([0.2]), log)
@@ -296,7 +284,7 @@ def test_session_two_nodes(strategy):
     # leaves 1 with no trust path to a rater
     g = build_graph(2, [(0, 1, 0.5)])
     b = np.full(2, 0.2)
-    cfg = EditingConfig(strategy=SelectionStrategy(strategy))
+    cfg = EditingConfig(strategy=strategy)
     for seed in range(4):
         log = run_session(g, b, cfg, rng=np.random.default_rng(seed))
         first = log.rounds[0].rater
@@ -314,7 +302,7 @@ def test_session_alpha_one(strategy):
     for seed in range(3):
         g = random_graph(rng, n=12, lam=3.0)
         b = rng.uniform(0.05, 0.6, size=12)
-        cfg = EditingConfig(strategy=SelectionStrategy(strategy), alpha=1.0)
+        cfg = EditingConfig(strategy=strategy, alpha=1.0)
         log = run_session(g, b, cfg, SolverConfig(tolerance=1e-12), np.random.default_rng(seed))
         assert 1 <= log.raters_used() <= 12
         _check_rounds_against_oracle(g, b, log)
@@ -329,7 +317,7 @@ def test_session_trust_one_graph(strategy, n, seed):
     # (the trust session on the 40-node graph meets such a row)
     g = generate_erdos_renyi(ErdosRenyiSpec(n, 6 / n, ConstantTrust(1.0), seed))
     b = np.full(n, 0.2)
-    log = run_session(g, b, EditingConfig(strategy=SelectionStrategy(strategy)), rng=np.random.default_rng(0))
+    log = run_session(g, b, EditingConfig(strategy=strategy), rng=np.random.default_rng(0))
     _check_rounds_against_oracle(g, b, log)
     assert np.all((log.final.scores >= 0.0) & (log.final.scores <= 1.0))
     if strategy == "marginal" and n == 300:
@@ -340,7 +328,7 @@ def test_session_fraction_nondecreasing_at_half_alpha():
     rng = np.random.default_rng(13)
     for seed in range(5):
         g = random_graph(rng, n=50, lam=5.0)
-        cfg = EditingConfig(strategy=SelectionStrategy("random"), rating_source=0.9)
+        cfg = EditingConfig(strategy="random", rating_source=0.9)
         log = run_session(g, np.full(50, 0.3), cfg, rng=np.random.default_rng(seed))
         fractions = [r.fraction for r in log.rounds]
         assert all(b >= a - 1e-12 for a, b in zip(fractions, fractions[1:]))
@@ -348,7 +336,7 @@ def test_session_fraction_nondecreasing_at_half_alpha():
 
 def test_session_deterministic():
     g = random_graph(np.random.default_rng(17), n=40, lam=4.0)
-    cfg = EditingConfig(strategy=SelectionStrategy("random"), rating_source=1.0)
+    cfg = EditingConfig(strategy="random", rating_source=1.0)
     a = run_session(g, np.full(40, 0.2), cfg, rng=np.random.default_rng(55))
     b = run_session(g, np.full(40, 0.2), cfg, rng=np.random.default_rng(55))
     assert [(r.round, r.rater, r.rating, r.satisfied) for r in a.rounds] == [
@@ -361,7 +349,7 @@ def test_session_marginal_fast_and_slow_agree():
     g = random_graph(np.random.default_rng(19), n=35, lam=4.0)
     b = np.full(35, 0.25)
     solver = SolverConfig(tolerance=1e-12)
-    fast = run_session(g, b, EditingConfig(strategy=SelectionStrategy("marginal")), solver)
+    fast = run_session(g, b, EditingConfig(strategy="marginal"), solver)
     # step the same session by hand with the re-solve greedy
     state = SessionState({}, b)
     slow = []
@@ -402,14 +390,14 @@ PINNED_SESSIONS = {
 @pytest.mark.parametrize("kind,alpha", list(PINNED_SESSIONS))
 def test_seeded_session_is_pinned(kind, alpha):
     g, b, ratings = _pinned_instance()
-    cfg = EditingConfig(strategy=SelectionStrategy(kind), rating_source=ratings, alpha=alpha)
+    cfg = EditingConfig(strategy=kind, rating_source=ratings, alpha=alpha)
     log = run_session(g, b, cfg, rng=np.random.default_rng(3))
     assert (log.status, [(r.round, r.rater, r.rating, r.satisfied) for r in log.rounds]) == PINNED_SESSIONS[kind, alpha]
 
 
 def test_marginal_session_off_half_alpha_runs_the_resolve_greedy(caplog):
     g, b, ratings = _pinned_instance()
-    cfg = EditingConfig(strategy=SelectionStrategy("marginal"), rating_source=ratings, alpha=0.75)
+    cfg = EditingConfig(strategy="marginal", rating_source=ratings, alpha=0.75)
     with caplog.at_level(logging.DEBUG, logger="trustsat.editing"):
         log = run_session(g, b, cfg)
     slow = [r.getMessage() for r in caplog.records if "slow path" in r.getMessage()]
@@ -430,7 +418,7 @@ def test_marginal_session_over_cap_raises_before_round_one(monkeypatch):
     g = random_graph(np.random.default_rng(19), n=35, lam=4.0)
     b = np.full(35, 0.25)
     monkeypatch.setattr(editing_mod, "DELTA_FAST_PATH_CAP", 34)
-    assert run_session(g, b, EditingConfig(strategy=SelectionStrategy("trust"))).status == "published"
+    assert run_session(g, b, EditingConfig(strategy="trust")).status == "published"
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the size check")
@@ -438,35 +426,32 @@ def test_marginal_session_over_cap_raises_before_round_one(monkeypatch):
     monkeypatch.setattr(editing_mod, "solve_iterative", no_solve)
     for alpha in (0.5, 0.75):
         with pytest.raises(TooLarge):
-            run_session(g, b, EditingConfig(strategy=SelectionStrategy("marginal"), alpha=alpha))
+            run_session(g, b, EditingConfig(strategy="marginal", alpha=alpha))
 
 
 def test_session_unconverged_solve_raises():
     g = random_graph(np.random.default_rng(23), n=30, lam=4.0)
-    cfg = EditingConfig(strategy=SelectionStrategy("trust"))
+    cfg = EditingConfig(strategy="trust")
     with pytest.raises(NotConverged, match="session round 1 solve"):
         run_session(g, np.full(30, 0.2), cfg, SolverConfig(max_iterations=1))
 
 
 def test_session_with_trust_updates_runs_and_persists():
     g = random_graph(np.random.default_rng(23), n=30, lam=4.0)
-    cfg = EditingConfig(
-        strategy=SelectionStrategy("trust"),
-        rating_source=1.0,
-        trust_update=TrustUpdateConfig(gamma=0.5, sharpness=16.0),
-    )
+    cfg = EditingConfig(strategy="trust", rating_source=1.0)
     log = run_session(g, np.full(30, 0.2), cfg)
     assert log.status == "published"
+    updated = apply_rater_trust_updates(g, log.state, TrustUpdateConfig(gamma=0.5, sharpness=16.0))
     raters = np.flatnonzero(log.state.rater_mask(g.n_nodes))
     if raters.size >= 2:
         i, j = int(raters[0]), int(raters[1])
         # equal ratings leave every rater pair fully agreeing
-        assert log.graph.edge_trust(i, j) is not None
+        assert updated.edge_trust(i, j) is not None
 
 
 def test_rating_table_range():
     for bad in ([0.5, 1.5], [0.5, np.nan]):
-        cfg = EditingConfig(strategy=SelectionStrategy("random"), rating_source=np.array(bad))
+        cfg = EditingConfig(strategy="random", rating_source=np.array(bad))
         with pytest.raises(ValidationError):
             cfg.validate(2)
 
@@ -480,7 +465,7 @@ def test_state_cleared_resets_raters():
 
 def test_session_log_csv(tmp_path):
     g = ring_graph(6)
-    cfg = EditingConfig(strategy=SelectionStrategy("random"))
+    cfg = EditingConfig(strategy="random")
     log = run_session(g, np.zeros(6), cfg, rng=np.random.default_rng(2))
     path = tmp_path / "session.csv"
     log.to_csv(path)

@@ -147,7 +147,8 @@ def _probe_draws(monkeypatch):
     lambda: sweep_rater_fraction(200, 8 / 200, UniformTrust(), 0.2, 1.0, [0.1, 0.3], seeds=range(3)),
     lambda: sweep_edge_prob(200, [4 / 200, 8 / 200], UniformTrust(), 0.2, 1.0, 0.1, seeds=range(2)),
     lambda: empirical_satisfaction_cdf(ErdosRenyiSpec(200, 8 / 200, ConstantTrust(0.5), 3), 0.2, 1.0, 3),
-], ids=["sweep-k", "sweep-p", "cdf"])
+    lambda: compare_strategies(200, 8 / 200, UniformTrust(), 0.2, 1.0, seeds=range(4)),
+], ids=["sweep-k", "sweep-p", "cdf", "compare"])
 def test_sweeps_hold_one_graph_at_a_time(monkeypatch, driver):
     alive_at_draw = _probe_draws(monkeypatch)
     driver()
@@ -173,7 +174,7 @@ def test_compare_single_node_graph():
 
 
 def test_empirical_k_bisection_brackets():
-    p = ModelParams(mean_degree=10.0, trust=0.8, rating=1.0, rater_fraction=0.0, threshold=0.2)
+    p = ModelParams(mean_degree=10.0, trust=0.8, rating=1.0, threshold=0.2)
     (k_hat,) = empirical_k_for_target(
         500, 10 / 500, ConstantTrust(0.8), 0.2, 1.0, [0.5], seeds=range(5), k_resolution=0.01
     )
@@ -187,6 +188,16 @@ def test_empirical_k_targets_match_single_target_calls():
 
     shares = [0.3, 0.5, 0.7]
     assert k_hat(shares) == [k_hat([s])[0] for s in shares]
+
+
+def test_empirical_k_solves_each_rater_count_once(monkeypatch):
+    # 27 probes of 3 bisections round to 13 distinct rater counts
+    real = experiments.solve_iterative
+    calls = []
+    monkeypatch.setattr(experiments, "solve_iterative", lambda *args: calls.append(1) or real(*args))
+    k_hat = empirical_k_for_target(400, 20 / 400, ConstantTrust(0.8), 0.2, 1.0, [0.3, 0.5, 0.7], seeds=[0, 1, 2])
+    assert k_hat == [0.05859375, 0.06640625, 0.0703125]
+    assert len(calls) == 13 * 3
 
 
 def test_cdf_rejects_all_raters_before_drawing(monkeypatch):

@@ -126,7 +126,7 @@ def test_order_irrelevance():
             sv = None
             for node, r in order:
                 st_inc.add_rater(node, r)
-                sv = solve_iterative(g, st_inc, SolverConfig(warm_start=warm))
+                sv = solve_iterative(g, st_inc, warm=warm)
                 warm = sv.scores
             return sv.scores
 

@@ -153,7 +153,7 @@ def test_accelerated_matches_dense_oracle(alpha, trust):
         st = random_state(rng, g.n_nodes, k=(0.005, 0.4), alpha=alpha)
         st.ratings = {i: float(rng.choice([0.0, 1.0])) for i in st.ratings}
         warm = rng.uniform(0.0, 1.0, g.n_nodes) if trial % 2 else None
-        sv = solve_iterative(g, st, SolverConfig(warm_start=warm))
+        sv = solve_iterative(g, st, warm=warm)
         assert sv.converged
         assert np.max(np.abs(sv.scores - solve_dense_oracle(g, st).scores)) <= 1e-8
         assert np.all((sv.scores >= 0.0) & (sv.scores <= 1.0))
@@ -181,7 +181,7 @@ def test_warm_start_agrees_with_zero_start():
         st = random_state(rng, g.n_nodes)
         cold = solve_iterative(g, st)
         warm = np.ones(g.n_nodes)
-        sv = solve_iterative(g, st, SolverConfig(warm_start=warm))
+        sv = solve_iterative(g, st, warm=warm)
         assert np.max(np.abs(sv.scores - cold.scores)) <= 10 * SolverConfig().tolerance
 
 
@@ -193,7 +193,7 @@ def test_warm_start_checked_with_or_without_raters(ratings, warm):
     # with no raters the solve still validates its warm start
     g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
     with pytest.raises(ValidationError):
-        solve_iterative(g, SessionState(ratings, np.zeros(3)), SolverConfig(warm_start=warm))
+        solve_iterative(g, SessionState(ratings, np.zeros(3)), warm=warm)
 
 
 def test_budget_exhaustion_flagged():
@@ -233,7 +233,7 @@ def test_scores_pinned_outside_reach():
     g = build_graph(4, [(0, 1, 0.9), (2, 3, 0.9)])
     st = SessionState({1: 1.0}, np.zeros(4))
     warm = np.ones(4)
-    sv = solve_iterative(g, st, SolverConfig(warm_start=warm))
+    sv = solve_iterative(g, st, warm=warm)
     assert sv.scores[2] == 0.0 and sv.scores[3] == 0.0
 
 

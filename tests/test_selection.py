@@ -10,7 +10,6 @@ from trustsat import (
     EditingConfig,
     NoNonRaters,
     NotConverged,
-    SelectionStrategy,
     SessionState,
     SingularInfluence,
     SolverConfig,
@@ -342,7 +341,7 @@ def test_session_falls_back_on_singular_table(caplog, monkeypatch):
         return select_marginal_greedy(*args, **kwargs)
 
     monkeypatch.setattr("trustsat.editing.select_marginal_greedy", counted)
-    log = run_session(g, thresholds, EditingConfig(SelectionStrategy("marginal")), TIGHT)
+    log = run_session(g, thresholds, EditingConfig("marginal"), TIGHT)
     assert log.status == "published"
     assert slow_rounds == [0]  # only the first pick; the table is rebuilt after it
     fallbacks = [r.getMessage() for r in caplog.records if "slow path" in r.getMessage()]
