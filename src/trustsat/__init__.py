@@ -58,6 +58,7 @@ from .graph import (
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
+    SolveContext,
     SolverConfig,
     compute_weights,
     reachability_mask,

@@ -31,15 +31,19 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 # output at 1 to drop the rounding of a row whose weights sum to one (a
 # trust-1 row next to raters at 1 can otherwise sum to 1 + 2^-52).
 #
-# A sweep sums rows in a jagged-diagonal layout built once per solve. The
-# `update` rows are ordered by descending out-degree (a stable sort, so ties
-# keep node order), and their edges are laid out slot by slot: slot j holds
-# the j-th edge of every row with more than j edges, and those rows are a
-# prefix of the ordered rows. A sweep gathers and multiplies all edges at
-# once, adds each slot in place into a prefix of one zeroed accumulator and
-# scatters the sums back to `update` order. Each row thus adds its products
-# to 0.0 one at a time in CSR order, the order of a row-by-row loop, so its
-# sum is that loop's sum bit for bit; a row with no edges sums to 0.
+# A sweep sums rows in a jagged-diagonal layout (`SweepLayout`), built once
+# per graph over all of its rows. The rows are ordered by descending
+# out-degree (a stable sort, so ties keep node order), and their edges are
+# laid out slot by slot: slot j holds the j-th edge of every row with more
+# than j edges, and those rows are a prefix of the ordered rows. A sweep
+# gathers and multiplies all edges at once, adds each slot in place into a
+# prefix of one zeroed accumulator and reads the `update` rows out of it at
+# their accumulator positions. Each row thus adds its products to 0.0 one
+# at a time in CSR order, the order of a row-by-row loop, so its sum is that
+# loop's sum bit for bit; a row with no edges sums to 0. Pinned rows (raters
+# and unreachable nodes) are summed too and their sums dropped: one layout
+# then serves every rater set, and only weights other than the ones it was
+# built with are gathered again, once per solve.
 #
 # Type-II Anderson acceleration mixes the next iterate from the last
 # `window` steps: with residuals f = g(x) - x and their differences dF, dG
@@ -58,27 +62,46 @@ def row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 ANDERSON_WINDOW = 5
 
 
-def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, window=ANDERSON_WINDOW):
+class SweepLayout:
+    """The jagged-diagonal layout of every row of one CSR graph: slot-major
+    edge offsets, the column indices and ``weights`` in that order, the
+    rows in each slot, and each node's accumulator position."""
+
+    __slots__ = ("weights", "offs", "cols", "w", "widths", "firsts", "pos")
+
+    def __init__(self, indptr, indices, weights):
+        n = indptr.shape[0] - 1
+        starts = indptr[:-1]
+        deg = indptr[1:] - starts
+        order = np.argsort(-deg, kind="stable")
+        starts, deg = starts[order], deg[order]
+        widths = n - np.cumsum(np.bincount(deg))[:-1]  # rows in each slot
+        firsts = np.cumsum(widths) - widths  # each slot's first position
+        edge_slot = np.repeat(np.arange(widths.size), widths)
+        self.offs = starts[np.arange(edge_slot.size) - np.repeat(firsts, widths)] + edge_slot
+        self.cols = indices[self.offs]
+        self.weights = weights
+        self.w = weights[self.offs]
+        self.widths, self.firsts = widths.tolist(), firsts.tolist()
+        self.pos = np.empty_like(order)
+        self.pos[order] = np.arange(n)
+
+
+def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, window=ANDERSON_WINDOW,
+                     layout=None):
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     n_upd = update.shape[0]
     if n_upd == 0:
         return 0, 0.0, True
-    starts = indptr[update]
-    deg = indptr[update + 1] - starts
-    order = np.argsort(-deg, kind="stable")
-    starts, deg = starts[order], deg[order]
-    widths = n_upd - np.cumsum(np.bincount(deg))[:-1]  # rows in each slot
-    firsts = np.cumsum(widths) - widths  # each slot's first position
-    edge_slot = np.repeat(np.arange(widths.size), widths)
-    offs = starts[np.arange(edge_slot.size) - np.repeat(firsts, widths)] + edge_slot
-    sub_idx = indices[offs]
-    sub_w = weights[offs]
-    prod = np.empty(offs.size)
-    acc = np.empty(n_upd)
-    slots = [(acc[:w], prod[f:f + w]) for w, f in zip(widths.tolist(), firsts.tolist())]
-    back = np.empty_like(order)  # accumulator position of each update row
-    back[order] = np.arange(n_upd)
+    if layout is None:
+        layout = SweepLayout(indptr, indices, weights)
+    cols = layout.cols
+    sub_w = layout.w if weights is layout.weights else weights[layout.offs]
+    prod = np.empty(cols.size)
+    acc = np.empty(layout.pos.size)
+    slots = [(acc[:w], prod[f:f + w]) for w, f in zip(layout.widths, layout.firsts)]
+    at = layout.pos[update]  # accumulator position of each update row
     d_f = np.empty((window, n_upd))  # ring buffers: step differences of f and g(x)
     d_g = np.empty((window, n_upd))
     gram = np.empty((window, window))  # d_f d_f^T, one row and column per step
@@ -89,12 +112,12 @@ def propagate_scores(indptr, indices, weights, update, scores, tol, max_iters, w
     while it < max_iters:
         it += 1
         # mode "raise" would copy through a buffer; no index is out of range
-        np.take(scores, sub_idx, out=prod, mode="clip")
+        np.take(scores, cols, out=prod, mode="clip")
         np.multiply(prod, sub_w, out=prod)
         acc.fill(0.0)
         for acc_rows, slot_prod in slots:
             acc_rows += slot_prod
-        gx = acc[back]
+        gx = acc[at]
         np.minimum(gx, 1.0, out=gx)
         f = gx - x
         resid = float(np.max(np.abs(f)))
@@ -133,14 +156,18 @@ def _anderson_step(gram, d_f, d_g, f, gx):
 # give, per node, the nodes that trust it. Each level marks its candidates
 # in a boolean array and drops those already reached, so the next frontier
 # (np.flatnonzero of that array) comes out sorted and free of repeats
-# without a sort.
+# without a sort. A search may start from `reached`, the mask of an earlier
+# source set: it then enters only nodes outside it, which is exact, since a
+# path into a new source through a reached node makes its start reached
+# already.
 # --------------------------------------------------------------------------
 
 
-def reachable_mask(in_indptr, in_indices, sources, n):
-    mask = np.zeros(n, dtype=bool)
+def reachable_mask(in_indptr, in_indices, sources, n, reached=None):
+    mask = np.zeros(n, dtype=bool) if reached is None else reached.copy()
     level = np.zeros(n, dtype=bool)
     level[sources] = True
+    level &= ~mask
     frontier = np.flatnonzero(level)
     while frontier.size:
         mask[frontier] = True

@@ -7,11 +7,14 @@ when it deadlocks, or when the round budget runs out. Document content is
 held fixed within a session; an actual edit is modeled by clearing the state
 (``SessionState.cleared``) and starting over.
 
-A session deadlocks when every remaining unsatisfied user is already a rater
-whose own rating is at or below their threshold: such scores are pinned and
-no further selection can move them. Unsatisfied non-raters never deadlock a
-session since they can still be picked to rate (satisfying themselves
-whenever their rating exceeds their threshold).
+A session deadlocks when publication is out of reach. Every score is an
+average of ratings with weights summing to at most one, so none exceeds
+r_cap, the largest rating ``rating_source`` can assign. A node can then be
+satisfied later only if it is a rater whose rating exceeds its threshold or
+a non-rater whose threshold lies below r_cap; the session stops as soon as
+those nodes fall short of the publication target. This covers the case in
+which every unsatisfied user is a rater pinned at or below their threshold,
+since the nodes counted are then exactly the satisfied ones.
 
 Trust updates blend the old value with a rating-agreement term,
 
@@ -40,6 +43,7 @@ from .graph import TrustGraph, _from_edge_arrays, write_csv
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
+    SolveContext,
     SolverConfig,
     require_converged,
     satisfied_count,
@@ -198,8 +202,9 @@ def run_session(
     solver_cfg: Optional[SolverConfig] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SessionLog:
-    """Run one review session to publication, deadlock, or budget
-    exhaustion. Deterministic for a given rng seed. Raises NotConverged
+    """Run one review session to publication, deadlock (publication out of
+    reach), or budget exhaustion. Its solves share one ``SolveContext``.
+    Deterministic for a given rng seed. Raises NotConverged
     when the initial or a round's solve runs out of iterations. A marginal
     round without an influence table calls ``delta_init``; when that raises
     ``AlphaUnsupported`` (alpha != 0.5) or ``SingularInfluence`` (retried
@@ -216,18 +221,22 @@ def run_session(
     state.validate(n)
     log_obj = SessionLog(state=state)
     dm: Optional[DeltaMatrix] = None
+    context = SolveContext(g)
+    b = state.thresholds
+    r_cap = float(np.max(cfg.rating_source))
+    # nodes that can still be satisfied: raters rating above their
+    # threshold, non-raters with a threshold below r_cap (no score exceeds it)
+    attainable = int(np.count_nonzero(b < r_cap))
 
-    sv = require_converged(solve_iterative(g, state, solver_cfg), "initial session solve")
-    count, satisfied = satisfied_count(sv, state.thresholds)
+    sv = require_converged(solve_iterative(g, state, solver_cfg, context=context), "initial session solve")
+    count, _ = satisfied_count(sv, b)
     warned_no_progress = False
 
     while True:
         if count / n >= cfg.publish_fraction:
             log_obj.status = "published"
             break
-        if not (~satisfied & ~state.rater_mask(n)).any():
-            # every unsatisfied user is a rater pinned at a rating at or
-            # below their own threshold
+        if attainable / n < cfg.publish_fraction:
             log_obj.status = "deadlock"
             break
         round_no = len(log_obj.rounds) + 1
@@ -254,10 +263,11 @@ def run_session(
             dm = delta_promote(dm, chosen)
 
         state.add_rater(chosen, rating)
-        sv = solve_iterative(g, state, solver_cfg, warm)
+        attainable += int(rating > b[chosen]) - int(b[chosen] < r_cap)
+        sv = solve_iterative(g, state, solver_cfg, warm, context)
         require_converged(sv, f"session round {round_no} solve")
         last = count
-        count, satisfied = satisfied_count(sv, state.thresholds)
+        count, _ = satisfied_count(sv, b)
         if count <= last and not warned_no_progress and count / n < cfg.publish_fraction:
             log.debug("round %d: no satisfied-count progress (%.4f)", round_no, count / n)
             warned_no_progress = True

@@ -135,8 +135,10 @@ def test_session_assumed_rating_checked_only_for_marginal(tmp_path, capsys, stra
     write_path_graph(gpath)
     assert run_cli("session", "--graph", str(gpath), "--strategy", strategy, "--rating", "0",
                    "-o", str(tmp_path / "s.csv")) == rc
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert ("assumed rating must lie in (0, 1], got 0.0" in err) == (rc == 3)
+    # no rating of 0 lifts anyone above a threshold: deadlock before round 1
+    assert ("status=deadlock raters=0" in out) == (rc == 0)
 
 
 def test_session_trust_update_runs_once_after_the_session(tmp_path, monkeypatch):

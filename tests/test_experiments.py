@@ -194,7 +194,7 @@ def test_empirical_k_solves_each_rater_count_once(monkeypatch):
     # 27 probes of 3 bisections round to 13 distinct rater counts
     real = experiments.solve_iterative
     calls = []
-    monkeypatch.setattr(experiments, "solve_iterative", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(experiments, "solve_iterative", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     k_hat = empirical_k_for_target(400, 20 / 400, ConstantTrust(0.8), 0.2, 1.0, [0.3, 0.5, 0.7], seeds=[0, 1, 2])
     assert k_hat == [0.05859375, 0.06640625, 0.0703125]
     assert len(calls) == 13 * 3

@@ -202,6 +202,23 @@ def test_reachable_matches_bfs(seed):
         assert mask.tolist() == _bfs_reachable(g, sources.tolist())
 
 
+@pytest.mark.parametrize("seed", range(4, 10))
+def test_reachable_from_earlier_mask_matches_fresh_bfs(seed):
+    # extending the mask of earlier sources by new ones, overlapping or not,
+    # reaches what one search from all of them reaches
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_range=(1, 120), lam_range=(0.3, 4))
+    n = g.n_nodes
+    old = rng.choice(n, size=min(3, n)).astype(np.int64)
+    reached = _kernels.reachable_mask(g.in_indptr, g.in_indices, old, n)
+    before = reached.copy()
+    for size in (0, 1, 4):
+        new = rng.choice(n, size=min(size, n)).astype(np.int64)
+        grown = _kernels.reachable_mask(g.in_indptr, g.in_indices, new, n, reached)
+        assert grown.tolist() == _bfs_reachable(g, old.tolist() + new.tolist())
+        assert np.array_equal(reached, before)  # the start mask is not written
+
+
 def _m_matrix(rng, n):
     """Random I - W with W >= 0 and row sums of W below 1: a row-diagonally
     dominant nonsingular M-matrix."""

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustsat import _kernels
 from trustsat import (
     ErdosRenyiSpec,
     SessionState,
+    SolveContext,
     SolverConfig,
     TooLarge,
     UniformTrust,
@@ -167,7 +169,7 @@ def test_accelerated_needs_at_most_half_the_sweeps(monkeypatch):
     st = SessionState({int(i): 1.0 for i in raters}, np.full(n, 0.2))
     fast = solve_iterative(g, st)
     accelerated = _kernels.propagate_scores
-    monkeypatch.setattr(_kernels, "propagate_scores", lambda *args: accelerated(*args, window=0))
+    monkeypatch.setattr(_kernels, "propagate_scores", lambda *args, **kwargs: accelerated(*args, **kwargs, window=0))
     plain = solve_iterative(g, st)
     assert fast.converged and plain.converged
     assert fast.iterations_used <= plain.iterations_used // 2
@@ -308,3 +310,61 @@ def test_single_node_rater():
     st = SessionState({0: 0.42}, np.zeros(1))
     assert solve_dense_oracle(g, st).scores[0] == 0.42
     assert solve_iterative(g, st).scores[0] == 0.42
+
+
+@st.composite
+def rater_sequences(draw):
+    """A graph, per-node ratings, an alpha, and a sequence of (rater list,
+    warm) steps in which each rater set either grows the one before or is
+    drawn afresh (and may then drop earlier raters)."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = sorted(draw(st.sets(st.sampled_from(pairs))))
+    trusts = draw(st.lists(st.floats(0.05, 1.0), min_size=len(chosen), max_size=len(chosen)))
+    g = build_graph(n, [(i, j, t) for (i, j), t in zip(chosen, trusts)])
+    ratings = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    steps, raters = [], []
+    for grow, drawn, warm in draw(st.lists(
+            st.tuples(st.booleans(), st.lists(st.sampled_from(range(n)), unique=True), st.booleans()),
+            min_size=1, max_size=8)):
+        raters = raters + [i for i in drawn if i not in raters] if grow else drawn
+        steps.append((raters, warm))
+    return g, ratings, draw(st.sampled_from([0.5, 0.75, 1.0])), steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(rater_sequences())
+def test_shared_context_matches_fresh_solves(seq):
+    # one context across nested and non-nested rater sets, cold and warm
+    # starts: scores, sweeps and residual as without it, bit for bit
+    g, ratings, alpha, steps = seq
+    context = SolveContext(g)
+    last = None
+    for raters, warm in steps:
+        state = SessionState({i: ratings[i] for i in raters}, None, alpha)
+        start = last if warm else None
+        shared = solve_iterative(g, state, warm=start, context=context)
+        fresh = solve_iterative(g, state, warm=start)
+        assert shared.scores.tobytes() == fresh.scores.tobytes()
+        assert (shared.iterations_used, shared.max_residual, shared.converged) == (
+            fresh.iterations_used, fresh.max_residual, fresh.converged)
+        assert np.array_equal(reachability_mask(g, raters, context), reachability_mask(g, raters))
+        last = fresh.scores
+
+
+def test_context_of_another_graph_is_rejected():
+    edges = [(0, 1, 0.5), (1, 2, 0.5)]
+    g, other = build_graph(3, edges), build_graph(3, edges)  # equal, yet another graph
+    context = SolveContext(other)
+    with pytest.raises(ValidationError, match="another graph"):
+        solve_iterative(g, SessionState({2: 1.0}, np.zeros(3)), context=context)
+    with pytest.raises(ValidationError, match="another graph"):
+        reachability_mask(g, [2], context)
+
+
+def test_context_mask_is_read_only():
+    g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    mask = reachability_mask(g, [1], SolveContext(g))
+    assert mask.tolist() == [True, True, False]
+    with pytest.raises(ValueError):
+        mask[2] = True
