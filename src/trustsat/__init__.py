@@ -58,7 +58,6 @@ from .graph import (
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
-    SolveContext,
     SolverConfig,
     compute_weights,
     reachability_mask,

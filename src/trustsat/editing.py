@@ -43,7 +43,6 @@ from .graph import TrustGraph, _from_edge_arrays, write_csv
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
-    SolveContext,
     SolverConfig,
     require_converged,
     satisfied_count,
@@ -203,14 +202,14 @@ def run_session(
     rng: Optional[np.random.Generator] = None,
 ) -> SessionLog:
     """Run one review session to publication, deadlock (publication out of
-    reach), or budget exhaustion. Its solves share one ``SolveContext``.
-    Deterministic for a given rng seed. Raises NotConverged
-    when the initial or a round's solve runs out of iterations. A marginal
-    round without an influence table calls ``delta_init``; when that raises
-    ``AlphaUnsupported`` (alpha != 0.5) or ``SingularInfluence`` (retried
-    next round, whose rater may break the closed class), the round runs the
-    re-solve greedy and logs why at debug level. The session leaves ``g``
-    as it is; a trust update is the caller's step after it."""
+    reach), or budget exhaustion. Deterministic for a given rng seed.
+    Raises NotConverged when the initial or a round's solve runs out of
+    iterations. A marginal round without an influence table calls
+    ``delta_init``; when that raises ``AlphaUnsupported`` (alpha != 0.5) or
+    ``SingularInfluence`` (retried next round, whose rater may break the
+    closed class), the round runs the re-solve greedy and logs why at debug
+    level. The session leaves ``g`` as it is; a trust update is the
+    caller's step after it."""
     cfg.validate(g.n_nodes)
     solver_cfg = solver_cfg or SolverConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -221,14 +220,13 @@ def run_session(
     state.validate(n)
     log_obj = SessionLog(state=state)
     dm: Optional[DeltaMatrix] = None
-    context = SolveContext(g)
     b = state.thresholds
     r_cap = float(np.max(cfg.rating_source))
     # nodes that can still be satisfied: raters rating above their
     # threshold, non-raters with a threshold below r_cap (no score exceeds it)
     attainable = int(np.count_nonzero(b < r_cap))
 
-    sv = require_converged(solve_iterative(g, state, solver_cfg, context=context), "initial session solve")
+    sv = require_converged(solve_iterative(g, state, solver_cfg), "initial session solve")
     count, _ = satisfied_count(sv, b)
     warned_no_progress = False
 
@@ -264,7 +262,7 @@ def run_session(
 
         state.add_rater(chosen, rating)
         attainable += int(rating > b[chosen]) - int(b[chosen] < r_cap)
-        sv = solve_iterative(g, state, solver_cfg, warm, context)
+        sv = solve_iterative(g, state, solver_cfg, warm)
         require_converged(sv, f"session round {round_no} solve")
         last = count
         count, _ = satisfied_count(sv, b)

@@ -27,8 +27,8 @@ import numpy as np
 from .editing import EditingConfig, SessionLog, run_session
 from .errors import ValidationError
 from .graph import ErdosRenyiSpec, TrustDist, TrustGraph, generate_erdos_renyi
-from .satisfaction import (SatisfactionVector, SessionState, SolveContext, SolverConfig, require_converged,
-                           satisfied_count, solve_iterative)
+from .satisfaction import (SatisfactionVector, SessionState, SolverConfig, require_converged, satisfied_count,
+                           solve_iterative)
 from .selection import STRATEGY_KINDS
 
 
@@ -78,13 +78,11 @@ def _draw_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float, trust_
 
 
 def _solve_raters(g: TrustGraph, raters: np.ndarray, rating: float, thresholds: Optional[np.ndarray],
-                  cfg: Optional[SolverConfig], alpha: float = 0.5,
-                  context: Optional[SolveContext] = None) -> SatisfactionVector:
-    """Scores when every node of ``raters`` rates ``rating``, solved in
-    ``context`` when one is given. Raises NotConverged when the solve runs
-    out of iterations."""
+                  cfg: Optional[SolverConfig], alpha: float = 0.5) -> SatisfactionVector:
+    """Scores when every node of ``raters`` rates ``rating``. Raises
+    NotConverged when the solve runs out of iterations."""
     state = SessionState(dict.fromkeys(raters.tolist(), rating), thresholds, alpha)
-    sv = solve_iterative(g, state, cfg, context=context)
+    sv = solve_iterative(g, state, cfg)
     return require_converged(sv, f"solve with {len(raters)} raters on {g.n_nodes} nodes")
 
 
@@ -122,12 +120,11 @@ def sweep_rater_fraction(
     for si, seed in enumerate(seeds):
         graph_rng, perm_rng = _spawn(seed, 2)
         g = _draw_graph(graph_rng, n_nodes, edge_prob, trust_dist)
-        context = SolveContext(g)  # the prefixes grow, so each search extends the last
         perm = perm_rng.permutation(n_nodes)
         for ki, n_r in enumerate(counts):
-            sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg, alpha, context)
+            sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg, alpha)
             results[si, ki] = 1.0 - satisfied_count(sv, thresholds)[0] / n_nodes
-        del g, context  # released before the next seed's graph is built
+        del g  # released before the next seed's graph is built
     return [
         SweepRow(float(k), *_mean_stderr(results[:, ki])) for ki, k in enumerate(k_grid)
     ]
@@ -240,19 +237,19 @@ def empirical_k_for_target(
     seeds = _check_seeds(seeds)
     thresholds = _threshold_vector(threshold, n_nodes)
     mean_share: Dict[int, float] = {}  # by rater count
-    contexts = []  # one per seed graph, holding it
+    graphs = []
     perms = []
     for seed in seeds:
         graph_rng, perm_rng = _spawn(seed, 2)
-        contexts.append(SolveContext(_draw_graph(graph_rng, n_nodes, edge_prob, trust_dist)))
+        graphs.append(_draw_graph(graph_rng, n_nodes, edge_prob, trust_dist))
         perms.append(perm_rng.permutation(n_nodes))
 
     def share_at(k: float) -> float:
         n_r = rater_count(k, n_nodes)
         if n_r not in mean_share:
             shares = []
-            for context, perm in zip(contexts, perms):
-                sv = _solve_raters(context.graph, perm[:n_r], rating, thresholds, cfg, context=context)
+            for g, perm in zip(graphs, perms):
+                sv = _solve_raters(g, perm[:n_r], rating, thresholds, cfg)
                 non_raters = perm[n_r:]
                 sat = np.count_nonzero(sv.scores[non_raters] > thresholds[non_raters])
                 shares.append(sat / max(non_raters.size, 1))

@@ -5,8 +5,10 @@ trust t in user j's judgement, with t in (0, 1]; a missing edge means i has
 no knowledge of j. Zero-trust edges are rejected at construction: storing
 them would change the averaging denominators downstream, and a trust of zero
 is indistinguishable from no edge. Graphs are immutable once built and safe
-to share across threads. The module also holds the package's file formats:
-edge lists, thresholds, and the ``#``-headed CSV tables the CLI writes.
+to share across threads; the solve state they cache is derived from the
+edges alone (see ``TrustGraph``). The module also holds the package's file
+formats: edge lists, thresholds, and the ``#``-headed CSV tables the CLI
+writes.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DuplicateEdge,
     NodeOutOfRange,
@@ -81,6 +84,14 @@ class TrustGraph:
     t_ij^2 / sum_j t_ij along each out-row: at that rater weight they do not
     depend on the rater set, so every solve on the graph shares them. All
     arrays are marked read-only after construction.
+
+    Solves on the graph also share two slots filled at first use: the
+    kernel's ``sweep_layout`` and, behind ``reachable``, the last rater mask
+    with its reachable mask. Both are derived from the edges alone, so the
+    graph stays safe to share across threads: two threads that build the
+    layout at once build equal ones, and the (raters, reached) pair is one
+    tuple, read once per search and replaced whole, so a search never pairs
+    one set's raters with another set's mask.
     """
 
     __slots__ = (
@@ -91,6 +102,8 @@ class TrustGraph:
         "half_weights",
         "in_indptr",
         "in_indices",
+        "_sweep_layout",
+        "_last_reach",
     )
 
     def __init__(self, n_nodes, out_indptr, out_indices, out_trust, half_weights, in_indptr, in_indices):
@@ -103,6 +116,30 @@ class TrustGraph:
         self.in_indices = in_indices
         for arr in (out_indptr, out_indices, out_trust, half_weights, in_indptr, in_indices):
             arr.flags.writeable = False
+        self._sweep_layout = None
+        self._last_reach = None  # (rater mask, reachable mask) of the last search
+
+    @property
+    def sweep_layout(self) -> _kernels.SweepLayout:
+        """The kernel's sweep layout over ``half_weights``, built at first use."""
+        if self._sweep_layout is None:
+            self._sweep_layout = _kernels.SweepLayout(self.out_indptr, self.out_indices, self.half_weights)
+        return self._sweep_layout
+
+    def reachable(self, rater_mask: np.ndarray) -> np.ndarray:
+        """Read-only mask of the nodes with a directed trust path into the
+        boolean mask ``rater_mask``. A superset of the last rater set
+        searches from the new raters into the nodes not yet reached; any
+        other set searches afresh."""
+        rater = np.array(rater_mask, dtype=bool)
+        last = self._last_reach
+        grows = last is not None and not (last[0] & ~rater).any()
+        new = np.flatnonzero(rater & ~last[0] if grows else rater)
+        reached = _kernels.reachable_mask(self.in_indptr, self.in_indices, new, self.n_nodes,
+                                          last[1] if grows else None)
+        rater.flags.writeable = reached.flags.writeable = False
+        self._last_reach = (rater, reached)
+        return reached
 
     @property
     def n_edges(self) -> int:

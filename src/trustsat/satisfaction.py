@@ -16,13 +16,13 @@ below reaches it by synchronous sweeps with Anderson acceleration (see
 no score by more than the tolerance and returns that sweep's scores, which
 lie in [0, 1].
 
-Solves on one graph share a ``SolveContext``: the sweep layout of the graph,
-built at its first solve, and the last rater set with its reachable mask.
-A rater set that contains the last one extends that mask by a search from
-the new raters alone. Callers that re-solve one graph for a growing rater
-set (sessions, the rater-fraction sweep, the bisection over k) keep one
-context for as long as they keep the graph; a solve without one builds a
-fresh one, and every result is the same bit for bit either way.
+Solves on one graph share what the graph caches (``TrustGraph``): the
+sweep layout, built at its first solve, and the last rater set with its
+reachable mask. A rater set that contains the last one extends that mask by
+a search from the new raters alone. Callers that re-solve one graph for a
+growing rater set (sessions, the rater-fraction sweep, the bisection over k)
+thus pay for the layout once and search only from new raters, without
+passing anything; every result is the same bit for bit as on a fresh graph.
 
 ``alpha`` (the extra weight on first-hand opinions) lives in [0.5, 1]. At
 exactly alpha = 1 a non-rater with no rater neighbor would have a 0/0
@@ -162,52 +162,18 @@ def compute_weights(g: TrustGraph, state: SessionState) -> np.ndarray:
     return w
 
 
-class SolveContext:
-    """What the solves on one graph share: the kernel's sweep layout, built
-    at first use, and the last rater set (a boolean mask) with its reachable
-    mask. Holds the graph, so it is dropped together with it."""
-
-    __slots__ = ("graph", "_layout", "_raters", "_reached")
-
-    def __init__(self, g: TrustGraph):
-        self.graph = g
-        self._layout: Optional[_kernels.SweepLayout] = None
-        self._raters = np.zeros(g.n_nodes, dtype=bool)  # no raters reach nothing
-        self._reached = self._raters
-
-    @property
-    def layout(self) -> _kernels.SweepLayout:
-        if self._layout is None:
-            g = self.graph
-            self._layout = _kernels.SweepLayout(g.out_indptr, g.out_indices, g.half_weights)
-        return self._layout
-
-    def reachable(self, rater: np.ndarray) -> np.ndarray:
-        """Read-only mask of the nodes with a directed trust path into the
-        rater mask ``rater``. A superset of the last rater set searches from
-        the new raters into the nodes not yet reached; any other set
-        searches afresh."""
-        g = self.graph
-        grows = not (self._raters & ~rater).any()
-        new = np.flatnonzero(rater & ~self._raters if grows else rater)
-        reached = _kernels.reachable_mask(g.in_indptr, g.in_indices, new, g.n_nodes,
-                                          self._reached if grows else None)
-        reached.flags.writeable = False
-        self._raters, self._reached = rater, reached
-        return reached
-
-
-def reachability_mask(g: TrustGraph, raters: Sequence[int], context: Optional[SolveContext] = None) -> np.ndarray:
+def reachability_mask(g: TrustGraph, raters: Sequence[int]) -> np.ndarray:
     """Read-only mask of the nodes with a directed trust path into the
-    rater set (raters included), found by BFS over the transpose graph, and
-    only from the raters new to ``context`` when it holds a subset of them.
-    ValidationError when ``context`` was built for another graph."""
-    context = context or SolveContext(g)
-    if context.graph is not g:
-        raise ValidationError(f"solve context was built for another graph than {g!r}")
+    rater set (raters included), found by BFS over the transpose graph
+    (``TrustGraph.reachable``). ValidationError for a rater id outside
+    [0, n)."""
+    ids = np.asarray(raters, dtype=np.int64)
+    outside = (ids < 0) | (ids >= g.n_nodes)
+    if outside.any():
+        raise ValidationError(f"rater {ids[outside][0]} outside [0, {g.n_nodes})")
     rater = np.zeros(g.n_nodes, dtype=bool)
-    rater[np.asarray(raters, dtype=np.int64)] = True
-    return context.reachable(rater)
+    rater[ids] = True
+    return g.reachable(rater)
 
 
 def _initial_scores(g, warm, mask):
@@ -225,8 +191,7 @@ def _initial_scores(g, warm, mask):
 
 
 def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConfig] = None,
-                    warm: Optional[np.ndarray] = None, context: Optional[SolveContext] = None
-                    ) -> SatisfactionVector:
+                    warm: Optional[np.ndarray] = None) -> SatisfactionVector:
     """Solve the score fixed point by accelerated sparse sweeps.
 
     Starts from ratings-at-raters / zero-elsewhere, or from the scores
@@ -235,16 +200,13 @@ def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConf
     until a sweep moves no coordinate more than the tolerance.
     ``iterations_used`` counts sweeps, and ``converged`` is False when the
     iteration budget ran out first. With no raters the result is the
-    all-zero vector. ``context`` is the ``SolveContext`` of ``g`` to reuse
-    (ValidationError when it was built for another graph); without one the
-    solve builds its own. The result does not depend on it.
+    all-zero vector.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    context = context or SolveContext(g)
     nodes, ratings = state.validate(g.n_nodes)
     n = g.n_nodes
-    mask = reachability_mask(g, nodes, context)
+    mask = reachability_mask(g, nodes)
     weights = g.half_weights if state.alpha == 0.5 else compute_weights(g, state)
     s = _initial_scores(g, warm, mask)
     s[nodes] = ratings
@@ -260,7 +222,7 @@ def solve_iterative(g: TrustGraph, state: SessionState, cfg: Optional[SolverConf
         s,
         cfg.tolerance,
         cfg.resolved_max_iterations(n),
-        layout=context.layout,
+        layout=g.sweep_layout,
     )
     return SatisfactionVector(s, int(iters), float(resid), bool(converged))
 
@@ -278,14 +240,15 @@ DENSE_ORACLE_LIMIT = 2000
 def solve_dense_oracle(g: TrustGraph, state: SessionState) -> SatisfactionVector:
     """Assemble the linear system over reachable non-raters and solve it
     directly (LU with partial pivoting). Validation oracle for the sweep
-    solver; guarded to small graphs."""
+    solver, independent of the state the graph caches for it (a fresh
+    BFS, no sweep layout); guarded to small graphs."""
     if g.n_nodes > DENSE_ORACLE_LIMIT:
         raise TooLarge(f"dense oracle limited to {DENSE_ORACLE_LIMIT} nodes, got {g.n_nodes}")
     state.validate(g.n_nodes)
     n = g.n_nodes
     rater = state.rater_mask(n)
     ratings = state.rating_vector(n)
-    mask = reachability_mask(g, np.flatnonzero(rater))
+    mask = _kernels.reachable_mask(g.in_indptr, g.in_indices, np.flatnonzero(rater), n)
     free = np.flatnonzero(mask & ~rater)
     s = ratings.copy()
     if free.size == 0:

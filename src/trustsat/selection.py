@@ -53,7 +53,6 @@ from .graph import TrustGraph
 from .satisfaction import (
     SatisfactionVector,
     SessionState,
-    SolveContext,
     SolverConfig,
     require_converged,
     satisfied_count,
@@ -95,16 +94,14 @@ def select_trust_greedy(g: TrustGraph, state: SessionState) -> int:
 
 
 def _satisfied_with(
-    g: TrustGraph, state: SessionState, extra: tuple, rating: float, cfg: Optional[SolverConfig], what: str,
-    context: Optional[SolveContext] = None,
+    g: TrustGraph, state: SessionState, extra: tuple, rating: float, cfg: Optional[SolverConfig], what: str
 ) -> int:
     """Satisfied count after solving ``state`` with every node of ``extra``
-    added as a rater at ``rating`` (in ``context`` when one is given);
-    raises NotConverged naming ``what``."""
+    added as a rater at ``rating``; raises NotConverged naming ``what``."""
     trial = state.copy()
     for node in extra:
         trial.add_rater(int(node), rating)
-    sv = require_converged(solve_iterative(g, trial, cfg, context=context), what)
+    sv = require_converged(solve_iterative(g, trial, cfg), what)
     return satisfied_count(sv, state.thresholds)[0]
 
 
@@ -135,11 +132,10 @@ def select_marginal_greedy(
     score system for every candidate. The largest count is the largest
     gain, so the current state is never solved. Ties go to the smallest
     index. Raises NotConverged at the first solve that runs out of
-    iterations. The trial solves share one sweep layout."""
+    iterations."""
     nr = _non_raters(state.rater_mask(g.n_nodes))
-    context = SolveContext(g)
     counts = [
-        _satisfied_with(g, state, (c,), assumed_rating, cfg, f"trial solve for candidate {c}", context)
+        _satisfied_with(g, state, (c,), assumed_rating, cfg, f"trial solve for candidate {c}")
         for c in nr.tolist()
     ]
     return int(nr[np.argmax(counts)])

@@ -6,6 +6,7 @@ import numpy as np
 # pass/fail lines collected by the acceptance suite; echoed after the run
 ACCEPTANCE_REPORT: list[str] = []
 
+from trustsat import _kernels
 from trustsat import (
     ConstantTrust,
     ErdosRenyiSpec,
@@ -50,3 +51,19 @@ def random_state(
     else:
         b = np.full(n, float(thresholds))
     return SessionState(ratings, b, alpha)
+
+
+def count_sweep_layouts(monkeypatch) -> list:
+    """Patch ``_kernels.SweepLayout`` to record each layout it builds.
+    Returns the list it appends the built layouts to."""
+    built = []
+
+    class CountedLayout(_kernels.SweepLayout):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(_kernels, "SweepLayout", CountedLayout)
+    return built

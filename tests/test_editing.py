@@ -28,7 +28,7 @@ from trustsat import (
     solve_iterative,
     trust_update,
 )
-from helpers import random_graph, random_state
+from helpers import count_sweep_layouts, random_graph, random_state
 
 
 def test_trust_update_identical_ratings():
@@ -488,6 +488,17 @@ def test_marginal_session_off_half_alpha_runs_the_resolve_greedy(caplog):
         state.add_rater(node, float(ratings[node]))
         by_hand.append(node)
     assert [r.rater for r in log.rounds] == by_hand
+
+
+def test_marginal_session_off_half_alpha_builds_one_sweep_layout(monkeypatch):
+    # the re-solve greedy's trial solves and the session's own solves share
+    # the graph's layout
+    g, b, ratings = _pinned_instance()
+    built = count_sweep_layouts(monkeypatch)
+    cfg = EditingConfig(strategy="marginal", rating_source=ratings, alpha=0.75, max_rounds=5)
+    log = run_session(g, b, cfg)
+    assert len(log.rounds) > 1
+    assert len(built) == 1
 
 
 def test_marginal_session_over_cap_raises_before_round_one(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import io
 import weakref
 
@@ -24,6 +25,7 @@ from trustsat.experiments import (
 )
 from trustsat.analytics import ModelParams, k_max_for_target, k_min_for_target
 from trustsat.graph import TrustGraph, write_csv
+from helpers import count_sweep_layouts
 
 
 def test_sweep_k_monotone_and_endpoints():
@@ -135,7 +137,7 @@ def _probe_draws(monkeypatch):
     def probe(*args):
         alive_at_draw.append(sum(ref() is not None for ref in refs))
         g = real(*args)
-        tracked = _TrackedGraph(*(getattr(g, name) for name in TrustGraph.__slots__))
+        tracked = _TrackedGraph(*(getattr(g, name) for name in inspect.signature(TrustGraph).parameters))
         refs.append(weakref.ref(tracked))
         return tracked
 
@@ -154,6 +156,13 @@ def test_sweeps_hold_one_graph_at_a_time(monkeypatch, driver):
     driver()
     assert len(alive_at_draw) >= 3
     assert alive_at_draw == [0] * len(alive_at_draw)
+
+
+def test_compare_builds_one_sweep_layout_per_seed_graph(monkeypatch):
+    built = count_sweep_layouts(monkeypatch)
+    runs = compare_strategies(200, 8 / 200, UniformTrust(), 0.2, 1.0, seeds=range(2))
+    assert len(runs) == 2 * len(experiments.STRATEGY_KINDS)
+    assert len(built) == 2
 
 
 def test_compare_rejects_unknown_strategy_before_any_session(monkeypatch):

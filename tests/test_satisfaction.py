@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,9 @@ from trustsat import _kernels
 from trustsat import (
     ErdosRenyiSpec,
     SessionState,
-    SolveContext,
     SolverConfig,
     TooLarge,
+    TrustGraph,
     UniformTrust,
     ValidationError,
     build_graph,
@@ -332,39 +334,68 @@ def rater_sequences(draw):
     return g, ratings, draw(st.sampled_from([0.5, 0.75, 1.0])), steps
 
 
+def _fresh(g):
+    """A newly built graph equal to ``g``, with nothing cached."""
+    return build_graph(g.n_nodes, zip(*g.edge_arrays()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(rater_sequences())
-def test_shared_context_matches_fresh_solves(seq):
-    # one context across nested and non-nested rater sets, cold and warm
-    # starts: scores, sweeps and residual as without it, bit for bit
+def test_shared_graph_matches_fresh_graphs(seq):
+    # one graph solved through nested and non-nested rater sets, cold and
+    # warm starts: scores, sweeps, residual and masks as on a freshly built
+    # equal graph, bit for bit
     g, ratings, alpha, steps = seq
-    context = SolveContext(g)
     last = None
     for raters, warm in steps:
         state = SessionState({i: ratings[i] for i in raters}, None, alpha)
         start = last if warm else None
-        shared = solve_iterative(g, state, warm=start, context=context)
-        fresh = solve_iterative(g, state, warm=start)
+        fresh_g = _fresh(g)
+        shared = solve_iterative(g, state, warm=start)
+        fresh = solve_iterative(fresh_g, state, warm=start)
         assert shared.scores.tobytes() == fresh.scores.tobytes()
         assert (shared.iterations_used, shared.max_residual, shared.converged) == (
             fresh.iterations_used, fresh.max_residual, fresh.converged)
-        assert np.array_equal(reachability_mask(g, raters, context), reachability_mask(g, raters))
+        assert np.array_equal(reachability_mask(g, raters), reachability_mask(_fresh(g), raters))
         last = fresh.scores
-
-
-def test_context_of_another_graph_is_rejected():
-    edges = [(0, 1, 0.5), (1, 2, 0.5)]
-    g, other = build_graph(3, edges), build_graph(3, edges)  # equal, yet another graph
-    context = SolveContext(other)
-    with pytest.raises(ValidationError, match="another graph"):
-        solve_iterative(g, SessionState({2: 1.0}, np.zeros(3)), context=context)
-    with pytest.raises(ValidationError, match="another graph"):
-        reachability_mask(g, [2], context)
 
 
 def test_context_mask_is_read_only():
     g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    mask = reachability_mask(g, [1], SolveContext(g))
+    mask = reachability_mask(g, [1])
     assert mask.tolist() == [True, True, False]
     with pytest.raises(ValueError):
         mask[2] = True
+
+
+@pytest.mark.parametrize("raters", [[-1], [3], [0, 5]])
+def test_reachability_mask_rejects_rater_outside_graph(raters):
+    # a negative id would otherwise wrap around to the last node
+    g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5)])
+    bad = next(i for i in raters if not 0 <= i < 3)
+    with pytest.raises(ValidationError, match=rf"rater {bad} outside \[0, 3\)"):
+        reachability_mask(g, raters)
+
+
+def test_dense_oracle_ignores_the_graph_cache(monkeypatch):
+    g = build_graph(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
+    state = SessionState({2: 1.0}, np.zeros(3))
+    expected = solve_iterative(g, state).scores
+
+    def no_cache(self, rater_mask):
+        raise AssertionError("the oracle read the graph's reachable set")
+
+    monkeypatch.setattr(TrustGraph, "reachable", no_cache)
+    assert np.allclose(solve_dense_oracle(g, state).scores, expected, atol=1e-9)
+
+
+def test_threads_sharing_one_graph_match_fresh_graphs():
+    g = generate_erdos_renyi(ErdosRenyiSpec(300, 6 / 300, UniformTrust(), 11))
+    rng = np.random.default_rng(5)
+    states = [SessionState(dict.fromkeys(rng.choice(300, size=k, replace=False).tolist(), 1.0), None, alpha)
+              for k, alpha in ((3, 0.5), (30, 0.75), (10, 0.5), (60, 1.0))]
+    expected = [solve_iterative(_fresh(g), st).scores.tobytes() for st in states]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(5):
+            got = list(pool.map(lambda st: solve_iterative(g, st).scores.tobytes(), states))
+            assert got == expected
